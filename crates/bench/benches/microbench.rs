@@ -314,7 +314,8 @@ fn bench_full_frame_conv_128(c: &mut Criterion) {
     });
 }
 
-/// The parallel dense path vs its serial oracle on a 256-row layer.
+/// The parallel dense path vs its serial oracle on a 256-row layer,
+/// plus the parallel path on the autoencoder's 8 × 31752 layer.
 fn bench_matvec(c: &mut Criterion) {
     let cfg = OpcConfig {
         banks: 4,
@@ -348,6 +349,28 @@ fn bench_matvec(c: &mut Criterion) {
         });
     });
     c.bench_function("matvec_parallel_256x72", |b| {
+        b.iter(|| {
+            matvec_parallel(
+                &mut opc,
+                &vom,
+                &mapper,
+                black_box(&matrix),
+                rows,
+                cols,
+                &input,
+                &mut noise,
+            )
+            .unwrap()
+        });
+    });
+    // The autoencoder encoder's dense shape: 8 latent rows over the
+    // 2 × 126 × 126 feature maps of a 128×128 frame.
+    let (rows, cols) = (8usize, 31_752usize);
+    let matrix: Vec<f32> = (0..rows * cols).map(|i| (i as f32 * 0.19).sin()).collect();
+    let input: Vec<f64> = (0..cols)
+        .map(|i| ((i as f64 * 0.23).sin().abs()).min(1.0))
+        .collect();
+    c.bench_function("matvec_parallel_8x31752", |b| {
         b.iter(|| {
             matvec_parallel(
                 &mut opc,

@@ -1415,14 +1415,9 @@ impl OisaAccelerator {
     /// [`CoreError::InvalidParameter`] for a matrix that is not
     /// `rows × cols`; substrate errors from the optical fabric.
     pub fn prewarm_dense(&mut self, matrix: &[f32], rows: usize, cols: usize) -> Result<()> {
-        if matrix.len() != rows * cols || rows == 0 || cols == 0 {
-            return Err(CoreError::InvalidParameter(format!(
-                "matrix {rows}x{cols} does not match {} elements",
-                matrix.len()
-            )));
-        }
-        let (_scale, normalised) = crate::mlp::normalise_matrix(matrix);
-        crate::mlp::replay_exit_state(&mut self.opc, &self.mapper, &normalised, rows, cols)
+        crate::mlp::validate_shape(matrix, rows, cols)?;
+        let scale = crate::mlp::matrix_scale(matrix);
+        crate::mlp::replay_exit_state(&mut self.opc, &self.mapper, matrix, scale, rows, cols)
     }
 }
 

@@ -66,9 +66,10 @@
 //!   a frame boundary. Each frame keys its own noise epoch; the oracle
 //!   is the per-frame sequential loop.
 //! * **Dense / MLP** — [`mlp::matvec_parallel`] fans rows out over the
-//!   scheduler; each worker re-tunes a private scratch arm per chunk
-//!   and evaluates immutable snapshots, so rows never serialise on
-//!   shared-fabric `load_arm`. [`mlp::matvec`] is the oracle.
+//!   scheduler and stages each chunk by table lookup through one shared
+//!   code-indexed [`oisa_optics::arm::ArmStager`], so rows never
+//!   serialise on shared-fabric `load_arm` and no chunk re-tunes a
+//!   ring. [`mlp::matvec`] is the oracle.
 //! * **Served frames** — [`serving::ServingEngine`] queues frames that
 //!   arrive over time and feeds the batch engine; the oracle is the
 //!   same sequential per-frame loop, independent of how requests

@@ -9,20 +9,26 @@
 //!
 //! Like the convolution pipeline, the dense path draws its noise from
 //! counter-based streams — keyed by `(epoch, row, chunk)` — so
-//! evaluation order never changes the physics. The whole weight matrix
-//! is normalised in one up-front scan (one division per element, no
-//! per-chunk staging buffer in the row loop), and two engines share
-//! that staging:
+//! evaluation order never changes the physics. Weights are normalised
+//! by one per-tensor scale found in one up-front scan. Two engines
+//! share that contract:
 //!
 //! * [`matvec`] — the serial oracle: chunks round-robin over the shared
 //!   fabric via `load_arm`, exactly as the hardware would serialise
 //!   them.
 //! * [`matvec_parallel`] — rows fan out over the work-stealing
-//!   scheduler; each worker re-tunes a *private* scratch arm per chunk
-//!   and evaluates an immutable [`ArmSnapshot`](oisa_optics::arm::ArmSnapshot), so no row ever waits
-//!   on another's fabric mutation. Output, energy, latency and chunk
-//!   count are bit-identical to [`matvec`] under the same seed and
-//!   epoch.
+//!   scheduler and every chunk is staged by table lookup through one
+//!   shared [`ArmStager`](oisa_optics::arm::ArmStager), so no row ever
+//!   waits on another's fabric mutation and no chunk re-tunes a ring.
+//!   Output, energy, latency and chunk count are bit-identical to
+//!   [`matvec`] under the same seed and epoch.
+//!
+//! The lookup is exact because a ring's state after a load depends only
+//! on its weight code (code → AWC level → detuning → the crosstalk it
+//! imposes on its neighbours), and a [`MatVecReport`] carries no tuning
+//! energy — the one quantity that depends on a ring's previous
+//! operating point. The fabric's recorded tuning state is reproduced
+//! separately, by replaying each used arm's last loads.
 
 use oisa_device::noise::NoiseSource;
 use oisa_optics::arm::MacResult;
@@ -117,17 +123,20 @@ pub fn matvec(
 }
 
 /// Parallel twin of [`matvec`]: rows fan out over the work-stealing
-/// scheduler and evaluate against private per-worker arm state instead
-/// of serialising on the shared fabric.
+/// scheduler and evaluate against a code-indexed
+/// [`ArmStager`](oisa_optics::arm::ArmStager) instead of serialising
+/// on the shared fabric.
 ///
-/// Each worker owns one scratch arm (cloned from the core's arm
-/// design). Per chunk it re-tunes that arm, takes an immutable
-/// [`oisa_optics::arm::ArmSnapshot`] and evaluates the snapshot through
-/// the same `(epoch, row, chunk)` noise stream the serial engine would
-/// use — arm state after `load_weights` depends only on the loaded
-/// chunk, never on fabric history, so every [`MacResult`] is
-/// bit-identical to the serial path's. The final reduction walks rows
-/// in order with the serial engine's exact floating-point grouping.
+/// The stager is built once per call from the core's arm design and
+/// `mapper`: per weight code it holds the crosstalk that code imposes on
+/// each neighbour, so staging a chunk is quantisation plus table
+/// lookups — no ring tuning, no arm and no allocation. Each chunk is
+/// evaluated through the same `(epoch, row, chunk)` noise stream the
+/// serial engine would use; arm state after `load_weights` depends only
+/// on the loaded codes, never on fabric history, so every
+/// [`MacResult`] is bit-identical to the serial path's. The final
+/// reduction walks rows in order with the serial engine's exact
+/// floating-point grouping.
 ///
 /// The consumed noise epoch matches [`matvec`], and the fabric is left
 /// in the serial engine's exact exit state (each used arm's final two
@@ -151,27 +160,23 @@ pub fn matvec_parallel(
     noise: &mut NoiseSource,
 ) -> Result<MatVecReport> {
     validate_matvec(matrix, rows, cols, input)?;
-    let (scale, normalised) = normalise_matrix(matrix);
+    let scale = matrix_scale(matrix);
     let epoch = noise.begin_epoch()?;
-    let template = opc.scratch_arm()?;
+    let stager = opc.scratch_arm()?.stager(mapper);
     let noise_ref: &NoiseSource = noise;
-    let normalised_ref = &normalised;
-    let row_partials: Vec<Result<Vec<MacResult>>> = scheduler::execute_with(
-        (0..rows).collect(),
-        || template.clone(),
-        |arm, _, r| -> Result<Vec<MacResult>> {
-            let row = &normalised_ref[r * cols..(r + 1) * cols];
+    let row_partials: Vec<Result<Vec<MacResult>>> =
+        scheduler::execute((0..rows).collect(), |_, r| -> Result<Vec<MacResult>> {
+            let row = &matrix[r * cols..(r + 1) * cols];
             let row_stream = noise_ref.slot_stream(epoch, r as u64);
             let mut partials = Vec::with_capacity(cols.div_ceil(CHUNK));
+            let mut staged = [0.0f64; CHUNK];
             for (ci, (w_chunk, a_chunk)) in row.chunks(CHUNK).zip(input.chunks(CHUNK)).enumerate() {
-                arm.load_weights(w_chunk, mapper)?;
-                let snapshot = arm.snapshot();
+                let weights = normalise_chunk(w_chunk, scale, &mut staged);
                 let stream = row_stream.at(ci as u64);
-                partials.push(snapshot.mac(a_chunk, &mut stream.cursor())?);
+                partials.push(stager.mac(weights, a_chunk, &mut stream.cursor())?);
             }
             Ok(partials)
-        },
-    );
+        });
     // Ordered reduction with the serial engine's exact grouping: per
     // row, chunk energies first, then the VOM aggregate.
     let mut output = Vec::with_capacity(rows);
@@ -192,7 +197,7 @@ pub fn matvec_parallel(
 
     // Leave the shared fabric exactly as the serial engine would, so
     // the two paths stay interchangeable for whatever runs next.
-    replay_exit_state(opc, mapper, &normalised, rows, cols)?;
+    replay_exit_state(opc, mapper, matrix, scale, rows, cols)?;
 
     Ok(MatVecReport {
         output,
@@ -203,9 +208,9 @@ pub fn matvec_parallel(
 }
 
 /// Reproduces the fabric exit state a serial [`matvec`] over the
-/// `rows × cols` matrix `normalised` (already scale-normalised into
-/// `[-1, 1]` f64) would leave, without computing anything or consuming
-/// noise epochs.
+/// `rows × cols` matrix `matrix` (normalised by `scale`, as
+/// [`matrix_scale`] finds it) would leave, without computing anything
+/// or consuming noise epochs. The shape must already be validated.
 ///
 /// Ring state after a load depends only on that load's chunk, and an
 /// arm's recorded tuning energy/latency only on its previous operating
@@ -221,7 +226,8 @@ pub fn matvec_parallel(
 pub(crate) fn replay_exit_state(
     opc: &mut Opc,
     mapper: &WeightMapper,
-    normalised: &[f64],
+    matrix: &[f32],
+    scale: f32,
     rows: usize,
     cols: usize,
 ) -> Result<()> {
@@ -232,8 +238,9 @@ pub(crate) fn replay_exit_state(
     let chunk_of = |g: usize| {
         let start = (g / chunks_per_row) * cols + (g % chunks_per_row) * CHUNK;
         let end = (g / chunks_per_row) * cols + cols.min((g % chunks_per_row) * CHUNK + CHUNK);
-        &normalised[start..end]
+        &matrix[start..end]
     };
+    let mut staged = [0.0f64; CHUNK];
     for slot in 0..nslots.min(total_chunks) {
         // Serial chunk `g` (row-major) lands on arm `g % nslots`; the
         // last such `g` fixes this arm's final weights, the one before
@@ -242,10 +249,11 @@ pub(crate) fn replay_exit_state(
         let bank = slot / arms_per_bank;
         let arm = slot % arms_per_bank;
         if last >= nslots {
-            opc.bank_mut(bank)?
-                .load_arm(arm, chunk_of(last - nslots), mapper)?;
+            let chunk = normalise_chunk(chunk_of(last - nslots), scale, &mut staged);
+            opc.bank_mut(bank)?.load_arm(arm, chunk, mapper)?;
         }
-        opc.bank_mut(bank)?.load_arm(arm, chunk_of(last), mapper)?;
+        let chunk = normalise_chunk(chunk_of(last), scale, &mut staged);
+        opc.bank_mut(bank)?.load_arm(arm, chunk, mapper)?;
     }
     Ok(())
 }
@@ -253,12 +261,7 @@ pub(crate) fn replay_exit_state(
 /// Shape/range validation shared by both matvec engines; range errors
 /// report the offending index before any fabric state changes.
 fn validate_matvec(matrix: &[f32], rows: usize, cols: usize, input: &[f64]) -> Result<()> {
-    if matrix.len() != rows * cols || rows == 0 || cols == 0 {
-        return Err(CoreError::InvalidParameter(format!(
-            "matrix {rows}x{cols} does not match {} elements",
-            matrix.len()
-        )));
-    }
+    validate_shape(matrix, rows, cols)?;
     if input.len() != cols {
         return Err(CoreError::InvalidParameter(format!(
             "input length {} != cols {cols}",
@@ -274,17 +277,44 @@ fn validate_matvec(matrix: &[f32], rows: usize, cols: usize, input: &[f64]) -> R
     Ok(())
 }
 
-/// One scan for the per-tensor scale, one pass normalising the whole
-/// matrix — hoisted out of the row loop so neither engine re-stages
-/// weights per chunk. Shared with the layer-program dense prewarm so
-/// its [`replay_exit_state`] stages the exact bits the engines load.
-pub(crate) fn normalise_matrix(matrix: &[f32]) -> (f32, Vec<f64>) {
-    let scale = matrix
+/// Checks that `matrix` holds exactly `rows × cols` weights, with a
+/// checked product: `rows` can arrive from the wire, and a wrapped
+/// product would let a huge layer pass as a small one.
+pub(crate) fn validate_shape(matrix: &[f32], rows: usize, cols: usize) -> Result<()> {
+    if rows.checked_mul(cols) != Some(matrix.len()) || rows == 0 || cols == 0 {
+        return Err(CoreError::InvalidParameter(format!(
+            "matrix {rows}x{cols} does not match {} elements",
+            matrix.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The per-tensor scale both engines normalise weights by: the largest
+/// weight magnitude (floored so an all-zero matrix stays finite).
+pub(crate) fn matrix_scale(matrix: &[f32]) -> f32 {
+    matrix
         .iter()
         .fold(0.0f32, |m, w| m.max(w.abs()))
-        .max(f32::MIN_POSITIVE);
+        .max(f32::MIN_POSITIVE)
+}
+
+/// The serial oracle's staging: the scale and the whole matrix
+/// normalised into `[-1, 1]` f64, one division per element.
+fn normalise_matrix(matrix: &[f32]) -> (f32, Vec<f64>) {
+    let scale = matrix_scale(matrix);
     let normalised = matrix.iter().map(|&w| f64::from(w / scale)).collect();
     (scale, normalised)
+}
+
+/// Normalises one chunk into `buf` with [`normalise_matrix`]'s exact
+/// per-element arithmetic, returning the filled prefix.
+fn normalise_chunk<'b>(chunk: &[f32], scale: f32, buf: &'b mut [f64; CHUNK]) -> &'b [f64] {
+    let out = &mut buf[..chunk.len()];
+    for (o, &w) in out.iter_mut().zip(chunk) {
+        *o = f64::from(w / scale);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -457,6 +487,23 @@ mod tests {
             matvec_parallel(&mut opc, &vom, &mapper, &[0.1; 6], 2, 4, &[0.5; 4], &mut noise)
                 .is_err()
         );
+        // A row count whose product with `cols` wraps to the matrix
+        // length is still a shape mismatch.
+        let wrapped_rows = usize::MAX / 4 + 2;
+        assert_eq!(wrapped_rows.wrapping_mul(4), 4);
+        assert!(matches!(
+            matvec_parallel(
+                &mut opc,
+                &vom,
+                &mapper,
+                &[0.1; 4],
+                wrapped_rows,
+                4,
+                &[0.5; 4],
+                &mut noise
+            ),
+            Err(CoreError::InvalidParameter(_))
+        ));
         let mut input = vec![0.5f64; 12];
         input[4] = -0.3;
         let err = matvec_parallel(

@@ -337,7 +337,7 @@ impl LayerProgram {
                 }
                 Stage::Dense { rows, matrix } => {
                     let cols = if i == 0 { width * height } else { len };
-                    if matrix.len() != rows * cols {
+                    if rows.checked_mul(cols) != Some(matrix.len()) {
                         return Err(CoreError::InvalidParameter(format!(
                             "stage {i}: dense matrix has {} weights for a {rows}x{cols} layer",
                             matrix.len()

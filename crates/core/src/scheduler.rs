@@ -46,34 +46,16 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    execute_with(items, || (), move |(), index, item| f(index, item))
-}
-
-/// [`execute`] with per-worker scratch state: `init` runs once on each
-/// worker and the resulting state is threaded through every item that
-/// worker processes.
-///
-/// The parallel dense path uses this to give each worker a private
-/// scratch [`Arm`](oisa_optics::arm::Arm) it can re-tune per weight
-/// chunk without touching the shared fabric.
-pub fn execute_with<T, R, S, I, F>(items: Vec<T>, init: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, T) -> R + Sync,
-{
     let count = items.len();
     if count == 0 {
         return Vec::new();
     }
     let workers = rayon::current_num_threads().min(count);
     if workers <= 1 {
-        let mut state = init();
         return items
             .into_iter()
             .enumerate()
-            .map(|(i, item)| f(&mut state, i, item))
+            .map(|(i, item)| f(i, item))
             .collect();
     }
 
@@ -90,13 +72,11 @@ where
     }
 
     let queues = &queues;
-    let init = &init;
     let f = &f;
     let mut collected: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
-                    let mut state = init();
                     let mut done = Vec::new();
                     loop {
                         // Own work first (front), then steal (back).
@@ -117,7 +97,7 @@ where
                             }
                         }
                         match job {
-                            Some((i, item)) => done.push((i, f(&mut state, i, item))),
+                            Some((i, item)) => done.push((i, f(i, item))),
                             None => break,
                         }
                     }
@@ -187,23 +167,10 @@ mod tests {
     #[test]
     fn zero_items_with_many_workers_returns_without_spawning() {
         let _guard = thread_count_lock();
-        // The empty fast path must neither deadlock waiting for work
-        // nor pay for worker state it will never use.
+        // The empty fast path must not deadlock waiting for work.
         rayon::set_num_threads(8);
-        let inits = AtomicUsize::new(0);
-        let out: Vec<u32> = execute_with(
-            Vec::<u32>::new(),
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-            },
-            |(), _, v| v,
-        );
+        let out: Vec<u32> = execute(Vec::<u32>::new(), |_, v| v);
         assert!(out.is_empty());
-        assert_eq!(
-            inits.load(Ordering::Relaxed),
-            0,
-            "no worker state for no work"
-        );
     }
 
     #[test]
@@ -225,46 +192,31 @@ mod tests {
     #[test]
     fn single_worker_degenerates_to_ordered_loop() {
         let _guard = thread_count_lock();
-        // One worker must mean the plain sequential path: exactly one
-        // state init, strictly ordered results, and no stealing to
-        // deadlock on.
+        // One worker must mean the plain sequential path on the calling
+        // thread: strictly ordered items and no stealing to deadlock on.
         rayon::set_num_threads(1);
-        let inits = AtomicUsize::new(0);
-        let out = execute_with(
-            (0..200).collect::<Vec<usize>>(),
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
-            },
-            |seen: &mut Vec<usize>, i, v| {
-                seen.push(i);
-                // A single worker observes items in exactly item order.
-                assert_eq!(seen.len() - 1, i);
-                v * 2
-            },
-        );
-        assert_eq!(inits.load(Ordering::Relaxed), 1);
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let out = execute((0..200).collect::<Vec<usize>>(), |i, v| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.lock().unwrap().push(i);
+            v * 2
+        });
+        assert_eq!(seen.into_inner().unwrap(), (0..200).collect::<Vec<_>>());
         assert_eq!(out, (0..200).map(|v| v * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_item_runs_on_one_worker() {
         let _guard = thread_count_lock();
+        // One item needs one worker: it runs inline, spawning nothing.
         rayon::set_num_threads(4);
-        let inits = AtomicUsize::new(0);
-        let out = execute_with(
-            vec![41u64],
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-            },
-            |(), i, v| v + 1 + i as u64,
-        );
+        let caller = std::thread::current().id();
+        let out = execute(vec![41u64], |i, v| {
+            assert_eq!(std::thread::current().id(), caller);
+            v + 1 + i as u64
+        });
         assert_eq!(out, vec![42]);
-        assert_eq!(
-            inits.load(Ordering::Relaxed),
-            1,
-            "one item needs one worker"
-        );
     }
 
     #[test]
@@ -296,51 +248,6 @@ mod tests {
         });
         assert_eq!(runs.load(Ordering::Relaxed), 257);
         assert_eq!(out, (0..257).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn worker_state_is_private_and_reused() {
-        let _guard = thread_count_lock();
-        rayon::set_num_threads(3);
-        let inits = AtomicUsize::new(0);
-        let out = execute_with(
-            (0..100).collect::<Vec<usize>>(),
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |seen, _, v| {
-                *seen += 1;
-                (v, *seen)
-            },
-        );
-        let workers = inits.load(Ordering::Relaxed);
-        assert!(workers <= 3, "one init per worker, got {workers}");
-        assert_eq!(out.len(), 100);
-        // Private, persistent per-worker counters partition the items
-        // into at most `workers` contiguous chains 1..=len. That makes
-        // the histogram of observed counter values falsifiable three
-        // ways: it starts with one entry per chain (re-init per item
-        // would give 100 ones), it never increases with the counter
-        // value (a reset mid-chain would leave a gap), and its longest
-        // chain covers at least the balanced share of the items (a
-        // fresh state per item would cap every counter at 1).
-        let max_seen = out.iter().map(|&(_, s)| s).max().unwrap();
-        let mut hist = vec![0usize; max_seen + 1];
-        for &(_, s) in &out {
-            hist[s] += 1;
-        }
-        assert!(hist[1] <= workers, "more chains than workers: {hist:?}");
-        for v in 2..=max_seen {
-            assert!(
-                hist[v] <= hist[v - 1],
-                "broken chain at counter {v}: {hist:?}"
-            );
-        }
-        assert!(
-            max_seen >= 100usize.div_ceil(workers),
-            "no worker kept its state across the balanced share: max {max_seen}"
-        );
     }
 
     #[test]

@@ -140,11 +140,11 @@ pub struct MacResult {
 ///
 /// A snapshot is what lets evaluation outlive fabric mutation: the
 /// batched convolution engine snapshots every pass's arms before the
-/// next pass re-tunes the same physical rings, and the parallel dense
-/// path evaluates rows against snapshots instead of serialising on
-/// [`Bank::load_arm`](crate::bank::Bank::load_arm). Both MAC entry
-/// points are bit-identical to their [`Arm`] counterparts — they share
-/// the same inner evaluation, not a re-implementation.
+/// next pass re-tunes the same physical rings. (The dense path, which
+/// stages a fresh chunk per evaluation, uses the code-indexed
+/// [`ArmStager`] instead.) Both MAC entry points are bit-identical to
+/// their [`Arm`] counterparts — they share the same inner evaluation,
+/// not a re-implementation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArmSnapshot {
     weights: Vec<MappedWeight>,
@@ -230,6 +230,94 @@ impl ArmSnapshot {
         Ok(mac_core(
             &self.weights,
             &self.ring_gain,
+            &self.detector,
+            self.per_channel_full,
+            self.channel_power,
+            self.dwell,
+            activations,
+            noise,
+        ))
+    }
+}
+
+/// Code-indexed staging for one arm design: evaluates a weight chunk
+/// exactly as [`Arm::load_weights`] followed by [`ArmSnapshot::mac`]
+/// would, with table lookups in place of ring tuning.
+///
+/// The lookup is exact because a ring's state after a load depends
+/// only on its code: the AWC maps the code to one magnitude
+/// ([`WeightMapper::levels`]), the magnitude to one detuning, and the
+/// detuning to the crosstalk the ring imposes on each neighbour. So the
+/// stager tunes one ring per code once, keeps its left-neighbour
+/// (`+spacing`) and right-neighbour (`−spacing`) crosstalk factors, and
+/// rebuilds each ring's gain with `load_weights`' own multiply order.
+/// What a lookup cannot give is the tuning energy and latency of a
+/// load, which depend on the ring's previous operating point; the MAC
+/// result carries neither, so nothing it reports changes.
+///
+/// Evaluation is allocation-free and touches no [`Arm`]: any number of
+/// threads can share one stager.
+#[derive(Debug, Clone)]
+pub struct ArmStager<'m> {
+    mapper: &'m WeightMapper,
+    /// Per code: the crosstalk factors `[left, right]` a ring holding
+    /// that code applies to the channel after and before its own (both
+    /// `1.0` with crosstalk off), or the error tuning to it raises.
+    codes: Vec<Result<[f64; 2]>>,
+    path_transmission: f64,
+    detector: BalancedPhotodetector,
+    per_channel_full: f64,
+    channel_power: f64,
+    dwell: Second,
+}
+
+impl ArmStager<'_> {
+    /// Quantises `weights` onto the arm and evaluates them against
+    /// `activations` — bit-identical, result and error alike, to
+    /// [`Arm::load_weights`] then [`ArmSnapshot::mac`] on a fresh
+    /// [`Arm`] of the same design.
+    ///
+    /// # Errors
+    ///
+    /// In `load_weights`' order: [`OpticsError::CapacityExceeded`] for
+    /// more than [`RINGS_PER_ARM`] weights, the first out-of-range or
+    /// non-finite weight, the first ring whose code cannot be tuned;
+    /// then [`Arm::mac`]'s activation errors.
+    pub fn mac<N: NoiseModel>(
+        &self,
+        weights: &[f64],
+        activations: &[f64],
+        noise: &mut N,
+    ) -> Result<MacResult> {
+        let n = weights.len();
+        check_capacity(n)?;
+        let mut mapped = [MappedWeight {
+            code: 0,
+            magnitude: 0.0,
+            negative: false,
+        }; RINGS_PER_ARM];
+        for (slot, &w) in mapped.iter_mut().zip(weights) {
+            *slot = self.mapper.quantize(w)?;
+        }
+        let mut factors = [[1.0f64; 2]; RINGS_PER_ARM];
+        for (f, m) in factors.iter_mut().zip(&mapped[..n]) {
+            *f = self.codes[usize::from(m.code)].clone()?;
+        }
+        let mut ring_gain = [0.0f64; RINGS_PER_ARM];
+        for (i, gain) in ring_gain[..n].iter_mut().enumerate() {
+            let mut xt = 1.0;
+            if i > 0 {
+                xt *= factors[i - 1][0];
+            }
+            if i + 1 < n {
+                xt *= factors[i + 1][1];
+            }
+            *gain = xt * self.path_transmission;
+        }
+        validate_activation_window(n, activations)?;
+        Ok(mac_core(
+            &mapped[..n],
+            &ring_gain[..n],
             &self.detector,
             self.per_channel_full,
             self.channel_power,
@@ -350,22 +438,15 @@ impl Arm {
     /// Returns [`OpticsError::CapacityExceeded`] when more than
     /// [`RINGS_PER_ARM`] weights are supplied, or a quantisation error.
     pub fn load_weights(&mut self, weights: &[f64], mapper: &WeightMapper) -> Result<()> {
-        if weights.len() > RINGS_PER_ARM {
-            return Err(OpticsError::CapacityExceeded {
-                capacity: RINGS_PER_ARM,
-                requested: weights.len(),
-            });
-        }
+        check_capacity(weights.len())?;
         let mapped = mapper.quantize_all(weights)?;
         let mut energy = Joule::ZERO;
         let mut latency = Second::ZERO;
         for (i, ring) in self.rings.iter_mut().enumerate() {
+            // Parked rings (weight 0) sit on resonance and block their
+            // channel.
             let magnitude = mapped.get(i).map_or(0.0, |m| m.magnitude);
-            // Ring transmission encodes the magnitude; parked rings
-            // (weight 0) sit on resonance and block their channel.
-            let floor = ring.design().intrinsic_loss;
-            let target = floor + (0.95 - floor) * magnitude;
-            let detuning = ring.detuning_for_transmission(target)?;
+            let detuning = ring.detuning_for_transmission(tuning_target(ring, magnitude))?;
             let outcome = ring.apply_detuning(detuning);
             energy += outcome.energy;
             latency = latency.max(outcome.latency);
@@ -435,6 +516,39 @@ impl Arm {
         ArmSnapshot {
             weights: self.weights.clone(),
             ring_gain: self.ring_gain.clone(),
+            detector: self.detector,
+            per_channel_full: self.per_channel_full,
+            channel_power: self.config.channel_power.get(),
+            dwell: self.dwell,
+        }
+    }
+
+    /// Builds an [`ArmStager`] for this arm's design and `mapper`'s
+    /// codes: one ring tuning per code, once, instead of ten per
+    /// evaluated chunk. The arm's own rings and weights are untouched.
+    #[must_use]
+    pub fn stager<'m>(&self, mapper: &'m WeightMapper) -> ArmStager<'m> {
+        let spacing = self.plan.spacing();
+        let mut ring = self.rings[0].clone();
+        let codes = mapper
+            .levels()
+            .iter()
+            .map(|&magnitude| {
+                let detuning = ring.detuning_for_transmission(tuning_target(&ring, magnitude))?;
+                if !self.config.crosstalk {
+                    return Ok([1.0, 1.0]);
+                }
+                ring.apply_detuning(detuning);
+                Ok([
+                    ring.crosstalk_transmission(spacing),
+                    ring.crosstalk_transmission(-spacing),
+                ])
+            })
+            .collect();
+        ArmStager {
+            mapper,
+            codes,
+            path_transmission: self.path_transmission,
             detector: self.detector,
             per_channel_full: self.per_channel_full,
             channel_power: self.config.channel_power.get(),
@@ -599,10 +713,31 @@ fn validate_activation_window(loaded: usize, activations: &[f64]) -> Result<()> 
     Ok(())
 }
 
-/// The general MAC evaluation shared bit-for-bit by [`Arm::mac`] and
-/// [`ArmSnapshot::mac`]: VCSEL RIN → ring transmission (with drift) →
-/// precomputed per-ring gain → rail accumulation → BPD subtraction with
-/// detector noise → loss-normalised signed result.
+/// Rejects loading more than [`RINGS_PER_ARM`] weights onto one arm.
+fn check_capacity(requested: usize) -> Result<()> {
+    if requested > RINGS_PER_ARM {
+        return Err(OpticsError::CapacityExceeded {
+            capacity: RINGS_PER_ARM,
+            requested,
+        });
+    }
+    Ok(())
+}
+
+/// Through-port transmission a ring is tuned to so it encodes weight
+/// magnitude `magnitude`: evenly spaced between the extinction floor
+/// and the 95% point of the Lorentzian tail. Shared by
+/// [`Arm::load_weights`] and [`Arm::stager`] so both tune identically.
+fn tuning_target(ring: &Microring, magnitude: f64) -> f64 {
+    let floor = ring.design().intrinsic_loss;
+    floor + (0.95 - floor) * magnitude
+}
+
+/// The general MAC evaluation shared bit-for-bit by [`Arm::mac`],
+/// [`ArmSnapshot::mac`] and [`ArmStager::mac`]: VCSEL RIN → ring
+/// transmission (with drift) → precomputed per-ring gain → rail
+/// accumulation → BPD subtraction with detector noise → loss-normalised
+/// signed result.
 #[allow(clippy::too_many_arguments)]
 fn mac_core<N: NoiseModel>(
     weights: &[MappedWeight],
@@ -1110,6 +1245,109 @@ mod tests {
         let after_arm = arm.mac(&a, &mut quiet()).unwrap();
         assert_eq!(before, after_snap);
         assert!(after_arm.value < 0.0 && after_snap.value > 0.0);
+    }
+
+    #[test]
+    fn stager_bit_identical_to_load_then_snapshot() {
+        // Every window length an arm holds, on both configs and both
+        // mapper families; every window from two weights up holds code
+        // 0 and full scale.
+        let source = NoiseSource::seeded(21, NoiseConfig::paper_default());
+        for config in [ArmConfig::paper_default(), ArmConfig::no_crosstalk()] {
+            for mapper in [
+                WeightMapper::ideal(4).unwrap(),
+                WeightMapper::paper(3).unwrap(),
+            ] {
+                let mut arm = Arm::new(config).unwrap();
+                let stager = arm.stager(&mapper);
+                for n in 1..=RINGS_PER_ARM {
+                    let w: Vec<f64> = (0..n)
+                        .map(|i| match i % 4 {
+                            0 => 0.0,
+                            1 => -1.0,
+                            2 => 1.0,
+                            _ => (i as f64 * 0.61).sin(),
+                        })
+                        .collect();
+                    let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).cos().abs()).collect();
+                    let stream = source.stream(0, n as u64, 3);
+                    arm.load_weights(&w, &mapper).unwrap();
+                    let loaded = arm.snapshot().mac(&a, &mut stream.cursor()).unwrap();
+                    let staged = stager.mac(&w, &a, &mut stream.cursor()).unwrap();
+                    assert_eq!(loaded.value.to_bits(), staged.value.to_bits(), "n={n}");
+                    assert_eq!(
+                        loaded.raw_current.to_bits(),
+                        staged.raw_current.to_bits(),
+                        "n={n}"
+                    );
+                    assert_eq!(
+                        loaded.optical_energy.get().to_bits(),
+                        staged.optical_energy.get().to_bits(),
+                        "n={n}"
+                    );
+                    assert_eq!(loaded, staged, "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stager_errors_like_load_then_snapshot() {
+        let mapper = WeightMapper::ideal(4).unwrap();
+        let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
+        let stager = arm.stager(&mapper);
+        let cases: [(&[f64], &[f64]); 4] = [
+            (&[0.1; RINGS_PER_ARM + 1], &[0.5; 3]),
+            (&[0.1, 1.5, f64::NAN], &[0.5; 3]),
+            (&[0.1, f64::NAN], &[0.5; 2]),
+            (&[0.1, 0.2], &[0.5, 1.2]),
+        ];
+        for (w, a) in cases {
+            let expected = arm
+                .load_weights(w, &mapper)
+                .and_then(|()| arm.snapshot().mac(a, &mut quiet()))
+                .unwrap_err();
+            assert_eq!(stager.mac(w, a, &mut quiet()).unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn stager_untunable_code_fails_only_chunks_that_use_it() {
+        // A badly mismatched ladder whose top code overshoots full
+        // scale asks the ring for a transmission past 1: loading that
+        // code fails, every other code still loads.
+        use oisa_device::awc::{AwcLadder, AwcModel, AwcParams};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let params = AwcParams {
+            bits: 2,
+            model: AwcModel::Mismatch {
+                leg_sigma: 0.4,
+                compression: 0.0,
+            },
+            ..AwcParams::paper_default()
+        };
+        let mapper = (0..64)
+            .map(|seed| {
+                let ladder = AwcLadder::fabricate(params, &mut StdRng::seed_from_u64(seed));
+                WeightMapper::from_ladder(ladder.unwrap()).unwrap()
+            })
+            .find(|m| {
+                m.levels()[3] > 1.1 && m.levels()[1..3].iter().all(|l| (0.0..1.0).contains(l))
+            })
+            .expect("some seed overshoots the top code only");
+        let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
+        let stager = arm.stager(&mapper);
+        let a = [1.0; 3];
+        let bad = [0.3, 1.0, 0.7];
+        let expected = arm.load_weights(&bad, &mapper).unwrap_err();
+        assert_eq!(stager.mac(&bad, &a, &mut quiet()).unwrap_err(), expected);
+        let good = [0.3, 0.7, -0.3];
+        arm.load_weights(&good, &mapper).unwrap();
+        assert_eq!(
+            stager.mac(&good, &a, &mut quiet()).unwrap(),
+            arm.snapshot().mac(&a, &mut quiet()).unwrap()
+        );
     }
 
     #[test]

@@ -264,9 +264,10 @@ impl Opc {
             .collect()
     }
 
-    /// A fresh idle arm matching this core's arm design — private
-    /// scratch state for workers that load and evaluate weight chunks
-    /// without mutating the shared fabric (the parallel dense path).
+    /// A fresh idle arm matching this core's arm design — scratch
+    /// state for evaluating weight chunks without mutating the shared
+    /// fabric (the parallel dense path builds its
+    /// [`ArmStager`](crate::arm::ArmStager) from one).
     ///
     /// # Errors
     ///

@@ -117,22 +117,31 @@ proptest! {
     }
 
     /// Randomised dense layers: parallel matvec is bit-identical to the
-    /// serial oracle — output vector, chunk count, energy and latency.
+    /// serial oracle — output vector, chunk count, energy and latency —
+    /// across every AWC width (1..=4 bits) on ideal and mismatched
+    /// ladders, with and without crosstalk.
     #[test]
     fn prop_matvec_parallel_matches_serial(
         seed in 0u64..40,
         rows in 1usize..=10,
         cols in 1usize..=40,
+        bits in 1u8..=4,
+        paper_ladder in prop::bool::ANY,
+        crosstalk in prop::bool::ANY,
     ) {
         let cfg = OpcConfig {
             banks: 2,
             columns: 1,
             awc_units: 10,
-            arm: ArmConfig::paper_default(),
+            arm: if crosstalk { ArmConfig::paper_default() } else { ArmConfig::no_crosstalk() },
         };
         let mut opc = Opc::new(cfg).unwrap();
         let vom = Vom::new(VomConfig::paper_default()).unwrap();
-        let mapper = WeightMapper::ideal(4).unwrap();
+        let mapper = if paper_ladder {
+            WeightMapper::paper(bits).unwrap()
+        } else {
+            WeightMapper::ideal(bits).unwrap()
+        };
         let matrix: Vec<f32> = (0..rows * cols)
             .map(|i| ((seed as usize + i) as f32 * 0.29).sin())
             .collect();

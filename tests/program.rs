@@ -274,3 +274,65 @@ fn program_reports_carry_the_stage_breakdown() {
         assert!(output.iter().all(|v| *v >= 0.0), "ReLU output");
     }
 }
+
+/// Regression: a dense stage's `rows` travels the wire unchecked, and
+/// `(2^56 + 1) × 256` wraps to 256 in a 64-bit multiply. That once let
+/// a 256-weight matrix pass shape checks as a dense-first layer on a
+/// 16×16 imager, after which the worker's prewarm panicked slicing the
+/// matrix out of bounds. The shard must survive encode → decode → worker
+/// as a typed error, and the worker loop must answer it with a refusal.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn wrapping_dense_rows_are_a_typed_error_not_a_panic() {
+    use oisa::core::backend::{execute_program_shard, serve_worker};
+    use oisa::core::wire::{self, ProgramShard, WireMessage};
+    use oisa::core::CoreError;
+
+    let config = OisaConfig::small_test();
+    let rows = (1usize << 56) + 1;
+    let program = LayerProgram::new(vec![Stage::Dense {
+        rows,
+        matrix: vec![0.25; 256],
+    }])
+    .unwrap();
+    assert!(matches!(
+        program.output_lens(16, 16),
+        Err(CoreError::InvalidParameter(_))
+    ));
+    let shard = ProgramShard {
+        job_id: 77,
+        shard_index: 0,
+        shard_count: 1,
+        first_frame: 0,
+        first_epoch: 0,
+        config_fingerprint: config.fingerprint(),
+        program,
+        frames: vec![Frame::constant(16, 16, 0.5).unwrap()],
+    };
+    let bytes = wire::encode(&WireMessage::ProgramShard(shard));
+    let Ok(WireMessage::ProgramShard(decoded)) = wire::decode(&bytes) else {
+        panic!("the shard must decode");
+    };
+    let err = execute_program_shard(&config, &decoded).unwrap_err();
+    assert!(
+        matches!(err, OisaError::Core(CoreError::InvalidParameter(_))),
+        "{err}"
+    );
+
+    let mut request = Vec::new();
+    wire::send(&mut request, &WireMessage::ProgramShard(decoded)).unwrap();
+    let mut reply = Vec::new();
+    serve_worker(&config, &mut request.as_slice(), &mut reply).unwrap();
+    let payload = wire::read_frame(&mut reply.as_slice()).unwrap().unwrap();
+    match wire::decode(&payload).unwrap() {
+        WireMessage::Refusal(refusal) => {
+            assert_eq!(refusal.job_id, 77);
+            assert!(
+                refusal.reason.contains("dense matrix"),
+                "{}",
+                refusal.reason
+            );
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+}
