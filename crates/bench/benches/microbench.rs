@@ -11,7 +11,6 @@ use oisa_core::{OisaAccelerator, OisaConfig};
 use oisa_device::awc::{AwcLadder, AwcParams};
 use oisa_device::mr::{Microring, MrDesign};
 use oisa_device::noise::{NoiseConfig, NoiseSource};
-use oisa_device::simd::LANES;
 use oisa_nn::conv::Conv2d;
 use oisa_nn::layer::Layer;
 use oisa_nn::tensor::Tensor;
@@ -66,32 +65,14 @@ fn bench_arm_mac(c: &mut Criterion) {
                 .unwrap()
         });
     });
-    // The across-window path: LANES adjacent windows in lockstep.
-    // Compare per-window cost against `arm_mac_indexed_9tap` (divide
-    // by LANES).
-    let snap = arm.snapshot();
-    let mut acts4 = [0.0f64; 9 * LANES];
-    for (i, &a) in activations.iter().enumerate() {
-        for l in 0..LANES {
-            acts4[i * LANES + l] = (a + 0.1 * l as f64).min(1.0);
-        }
-    }
-    c.bench_function("arm_mac_indexed_x4_9tap", |b| {
-        b.iter(|| {
-            position = position.wrapping_add(LANES as u64);
-            let quad = slot.quad_at(position);
-            snap.mac_indexed_x4(black_box(&acts4), 9, &quad, 0)
-        });
-    });
 }
 
 /// Sweeps the fused MAC over longer ring sequences so the per-ring
 /// cost is visible without per-call overhead: `rings` total rings are
 /// evaluated as repeated 9-tap windows (arms hold [`RINGS_PER_ARM`]
-/// rings, so larger "rows" are chains of windows in practice). Run
-/// with `OISA_SIMD_TIER=scalar` to compare mixing tiers; the reported
-/// time divided by `rings` is the ns/ring figure quoted in the arm
-/// module docs and `perf_json`.
+/// rings, so larger "rows" are chains of windows in practice). The
+/// reported time divided by `rings` is the ns/ring figure quoted in
+/// the arm module docs and `perf_json`.
 fn bench_mac_rings(c: &mut Criterion) {
     let mapper = WeightMapper::paper(4).unwrap();
     let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
@@ -124,9 +105,9 @@ fn bench_mac_rings(c: &mut Criterion) {
     }
 }
 
-/// The batched Gaussian draw against four scalar draws on the same
-/// counters — the mixing-kernel speedup in isolation.
-fn bench_gaussian_lanes(c: &mut Criterion) {
+/// Four scalar Gaussian draws on consecutive counters: the per-draw
+/// noise cost behind every MAC channel.
+fn bench_gaussian(c: &mut Criterion) {
     let source = NoiseSource::seeded(11, NoiseConfig::paper_default());
     let stream = source.stream(0, 0, 0);
     let mut c0 = 0u64;
@@ -136,32 +117,6 @@ fn bench_gaussian_lanes(c: &mut Criterion) {
             let mut acc = 0.0;
             for d in 0..4u64 {
                 acc += stream.gaussian_at(black_box(c0 + d));
-            }
-            acc
-        });
-    });
-    c.bench_function("gaussian_at_lanes", |b| {
-        b.iter(|| {
-            c0 = c0.wrapping_add(4);
-            let [a, b2, c2, d] = stream.gaussian_at_lanes(black_box([c0, c0 + 1, c0 + 2, c0 + 3]));
-            a + b2 + c2 + d
-        });
-    });
-    // The across-window pair draw: 8 draws (4 windows x 2 counters)
-    // per call, 9 calls mirroring one 9-tap x4 MAC's draw traffic.
-    let slot = source.slot_stream(0, 0);
-    let mut position = 0u64;
-    c.bench_function("quad_pair_draws_9tap", |b| {
-        b.iter(|| {
-            position = position.wrapping_add(4);
-            let quad = slot.quad_at(black_box(position));
-            let mut acc = 0.0;
-            for i in 0..9u64 {
-                let (a, b2) = quad.gaussian_pair_at(2 * i);
-                for l in 0..4 {
-                    acc += a[l];
-                    acc += b2[l];
-                }
             }
             acc
         });
@@ -491,7 +446,7 @@ criterion_group! {
         bench_awc_levels,
         bench_arm_mac,
         bench_mac_rings,
-        bench_gaussian_lanes,
+        bench_gaussian,
         bench_pixel_exposure,
         bench_conv2d,
         bench_mapping_plan,

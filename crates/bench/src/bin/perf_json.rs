@@ -560,9 +560,8 @@ fn main() {
 
     // MAC-core cost at three working-set sizes: chained 9-tap
     // `mac_indexed` folds, the kernel every engine above amortises.
-    // Reported as nanoseconds per ring (with the active SIMD dispatch
-    // tier) so the bench covers the fold itself, not just the engines;
-    // pin `OISA_SIMD_TIER=scalar` to compare tiers.
+    // Reported as nanoseconds per ring so the bench covers the fold
+    // itself, not just the engines.
     let mac_snap = {
         let mac_mapper = WeightMapper::ideal(4).expect("mapper construction");
         let weights: Vec<f64> = (0..9).map(|i| ((i as f64) * 0.61).sin()).collect();
@@ -643,7 +642,6 @@ fn main() {
             "\"frames_per_sec_program\":{fps_program:.3},",
             "\"matvec_rows_per_sec\":{mv_rps:.3}}},",
             "\"mac_ns_per_ring\":{{",
-            "\"simd_tier\":\"{simd_tier}\",",
             "\"rings_72\":{mac72:.2},",
             "\"rings_256\":{mac256:.2},",
             "\"rings_1024\":{mac1024:.2}}},",
@@ -718,7 +716,6 @@ fn main() {
         fps_backend_tcp = frames_per_sec_backend_tcp,
         fps_program = frames_per_sec_program,
         mv_rps = matvec_rows_per_sec,
-        simd_tier = oisa_device::simd::active_tier(),
         mac72 = mac_ns_per_ring[0],
         mac256 = mac_ns_per_ring[1],
         mac1024 = mac_ns_per_ring[2],

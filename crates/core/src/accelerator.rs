@@ -1610,13 +1610,8 @@ fn kernel_scales(kernels: &[&[f32]]) -> Vec<f32> {
 /// streams, and multi-arm kernels aggregate through the VOM.
 ///
 /// Every window goes through the per-window [`ArmSnapshot::mac_indexed`]
-/// fold. An across-window ×4 variant ([`ArmSnapshot::mac_indexed_x4`])
-/// exists, is bit-identical, and was benchmarked here: on the bench
-/// host it *loses* at the frame level (the zero-activation skip the
-/// per-window fold gets for free outweighs batched noise mixing — see
-/// the perf notes in `crates/optics/src/arm.rs`), so the engine stays
-/// on the per-window path and the ×4 kernel remains available for
-/// hosts where vectorised integer mixing wins.
+/// fold, whose zero-activation skip is what ternary windows full of
+/// exact zeros reward (see the perf notes in `crates/optics/src/arm.rs`).
 #[allow(clippy::too_many_arguments)]
 fn eval_row(
     oy: usize,

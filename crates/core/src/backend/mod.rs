@@ -580,7 +580,6 @@ fn refusal_to_error(refusal: ShardRefusal) -> OisaError {
 
 fn message_name(message: &WireMessage) -> &'static str {
     match message {
-        WireMessage::Job(_) => "InferenceJob",
         WireMessage::Shard(_) => "JobShard",
         WireMessage::Report(_) => "ShardReport",
         WireMessage::Refusal(_) => "ShardRefusal",
@@ -588,7 +587,6 @@ fn message_name(message: &WireMessage) -> &'static str {
         WireMessage::Pong(_) => "Pong",
         WireMessage::Configure(_) => "Configure",
         WireMessage::ConfigureAck(_) => "ConfigureAck",
-        WireMessage::ProgramJob(_) => "ProgramJob",
         WireMessage::ProgramShard(_) => "ProgramShard",
         WireMessage::ProgramReport(_) => "ProgramReport",
     }
@@ -1641,22 +1639,18 @@ mod tests {
         }
         // A well-formed message of the wrong type is named in the
         // refusal.
-        let job = InferenceJob {
+        let report = ShardReport {
             job_id: 1,
-            k: 3,
-            kernels: vec![vec![0.5f32; 9]],
-            frames: frames(1),
+            shard_index: 0,
+            first_frame: 0,
+            reports: Vec::new(),
         };
         let reply = transport
-            .round_trip(&wire::encode(&WireMessage::Job(job)))
+            .round_trip(&wire::encode(&WireMessage::Report(report)))
             .unwrap();
         match wire::decode(&reply).unwrap() {
             WireMessage::Refusal(refusal) => {
-                assert!(
-                    refusal.reason.contains("InferenceJob"),
-                    "{}",
-                    refusal.reason
-                );
+                assert!(refusal.reason.contains("ShardReport"), "{}", refusal.reason);
             }
             other => panic!("expected a refusal, got {other:?}"),
         }

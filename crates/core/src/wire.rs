@@ -31,7 +31,7 @@
 //! **minimum** version that knows its tag (the `TAG_MIN_VERSION`
 //! registry). Concretely:
 //!
-//! * v2 messages (job, shard, report, refusal, ping, pong) travel
+//! * v2 messages (shard, report, refusal, ping, pong) travel
 //!   stamped [`LEGACY_SCHEMA_VERSION`] (2), so a genuine v2 peer
 //!   accepts everything an up-to-date coordinator sends it — except
 //!   the newer messages below.
@@ -39,10 +39,14 @@
 //!   (a structured [`OisaConfig`] push, field by field, **not** the
 //!   build-local Debug fingerprint); both travel stamped
 //!   [`V3_SCHEMA_VERSION`] (3).
-//! * v4 adds the layer-program trio — [`WireMessage::ProgramJob`],
-//!   [`WireMessage::ProgramShard`], [`WireMessage::ProgramReport`] —
-//!   carrying a [`crate::program::LayerProgram`] instead of a single
-//!   kernel set; these travel stamped [`SCHEMA_VERSION`] (4).
+//! * v4 added the layer-program pair — [`WireMessage::ProgramShard`]
+//!   and [`WireMessage::ProgramReport`] — carrying a
+//!   [`crate::program::LayerProgram`] instead of a single kernel set;
+//!   these travel stamped [`SCHEMA_VERSION`] (4).
+//! * Tags 1 (a whole [`InferenceJob`]) and 9 (a whole [`ProgramJob`])
+//!   are retired: only shards cross the wire, so no process ever sent
+//!   them. They decode as [`WireError::UnknownTag`] and are never
+//!   reassigned.
 //! * The decoder accepts any stamp in
 //!   `LEGACY_SCHEMA_VERSION..=SCHEMA_VERSION`, then gates per tag: a
 //!   tag stamped below its registry minimum is
@@ -89,7 +93,7 @@
 //! ```
 //! use oisa_core::program::LayerProgram;
 //! use oisa_core::wire::{
-//!     self, ConfigPush, Handshake, ProgramJob, RefusalCode, ShardRefusal, WireMessage,
+//!     self, ConfigPush, Handshake, ProgramShard, RefusalCode, ShardRefusal, WireMessage,
 //! };
 //! use oisa_core::OisaConfig;
 //!
@@ -117,19 +121,24 @@
 //! assert_eq!(&framed[..4], &21u32.to_le_bytes());
 //! assert_eq!(&framed[4..], &payload[..]);
 //!
-//! // Minimum-stamp rule: Configure travels stamped v3, ProgramJob v4,
-//! // regardless of the sender's build version.
+//! // Minimum-stamp rule: Configure travels stamped v3, ProgramShard
+//! // v4, regardless of the sender's build version.
 //! let configure = wire::encode(&WireMessage::Configure(ConfigPush {
 //!     nonce: 1,
 //!     config: OisaConfig::small_test(),
 //! }));
 //! assert_eq!(&configure[..5], &[0x4F, 0x57, 0x03, 0x00, 0x07]);
-//! let program_job = wire::encode(&WireMessage::ProgramJob(ProgramJob {
+//! let program_shard = wire::encode(&WireMessage::ProgramShard(ProgramShard {
 //!     job_id: 1,
+//!     shard_index: 0,
+//!     shard_count: 1,
+//!     first_frame: 0,
+//!     first_epoch: 0,
+//!     config_fingerprint: 0,
 //!     program: LayerProgram::autoencoder(16, 16, 2, 4, 1).unwrap(),
 //!     frames: Vec::new(),
 //! }));
-//! assert_eq!(&program_job[..5], &[0x4F, 0x57, 0x04, 0x00, 0x09]);
+//! assert_eq!(&program_shard[..5], &[0x4F, 0x57, 0x04, 0x00, 0x0A]);
 //!
 //! // A refusal with the fingerprint-mismatch code.
 //! let refusal = wire::encode(&WireMessage::Refusal(ShardRefusal {
@@ -191,11 +200,11 @@ use oisa_units::{Ampere, Farad, Hertz, Joule, Kelvin, Meter, Ohm, Second, Volt, 
 /// heterogeneous fleet's physics instead of refusing on fingerprint
 /// mismatch.
 ///
-/// v4 adds [`WireMessage::ProgramJob`] / [`WireMessage::ProgramShard`]
-/// / [`WireMessage::ProgramReport`] — multi-stage
-/// [`crate::program::LayerProgram`] execution (conv → quantize →
-/// dense → activation) through the same sharded backend. No earlier
-/// layout changed; see the module docs for the interop rule.
+/// v4 adds [`WireMessage::ProgramShard`] / [`WireMessage::ProgramReport`]
+/// — multi-stage [`crate::program::LayerProgram`] execution (conv →
+/// quantize → dense → activation) through the same sharded backend.
+/// No earlier layout changed; see the module docs for the interop rule
+/// and the two retired tags.
 pub const SCHEMA_VERSION: u16 = 4;
 
 /// The version that introduced the config-push pair.
@@ -216,7 +225,9 @@ pub const MAGIC: u16 = u16::from_le_bytes(*b"OW");
 /// prefix from looking like a 4 GiB allocation.
 pub const MAX_MESSAGE_BYTES: u32 = 256 * 1024 * 1024;
 
-const TAG_JOB: u8 = 1;
+// Tags 1 (a whole `InferenceJob`) and 9 (a whole `ProgramJob`) are
+// retired: only shards cross the wire. Never reassign them; they decode
+// as `WireError::UnknownTag`.
 const TAG_SHARD: u8 = 2;
 const TAG_REPORT: u8 = 3;
 const TAG_REFUSAL: u8 = 4;
@@ -226,7 +237,6 @@ const TAG_PONG: u8 = 6;
 const TAG_CONFIGURE: u8 = 7;
 const TAG_CONFIGURE_ACK: u8 = 8;
 // v4-only tags: layer-program execution.
-const TAG_PROGRAM_JOB: u8 = 9;
 const TAG_PROGRAM_SHARD: u8 = 10;
 const TAG_PROGRAM_REPORT: u8 = 11;
 
@@ -237,7 +247,6 @@ const TAG_PROGRAM_REPORT: u8 = 11;
 /// from this table, so a new message can neither collide nor silently
 /// skip gating.
 const TAG_MIN_VERSION: &[(u8, u16)] = &[
-    (TAG_JOB, LEGACY_SCHEMA_VERSION),
     (TAG_SHARD, LEGACY_SCHEMA_VERSION),
     (TAG_REPORT, LEGACY_SCHEMA_VERSION),
     (TAG_REFUSAL, LEGACY_SCHEMA_VERSION),
@@ -245,7 +254,6 @@ const TAG_MIN_VERSION: &[(u8, u16)] = &[
     (TAG_PONG, LEGACY_SCHEMA_VERSION),
     (TAG_CONFIGURE, V3_SCHEMA_VERSION),
     (TAG_CONFIGURE_ACK, V3_SCHEMA_VERSION),
-    (TAG_PROGRAM_JOB, SCHEMA_VERSION),
     (TAG_PROGRAM_SHARD, SCHEMA_VERSION),
     (TAG_PROGRAM_REPORT, SCHEMA_VERSION),
 ];
@@ -337,7 +345,7 @@ pub struct InferenceJob {
 }
 
 /// A batch of frames to run through a multi-stage
-/// [`LayerProgram`](crate::program::LayerProgram) (v4) — the
+/// [`LayerProgram`](crate::program::LayerProgram) — the
 /// program-capable counterpart of [`InferenceJob`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ProgramJob {
@@ -560,8 +568,6 @@ pub struct ConfigPush {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMessage {
-    /// A full job (client → coordinator).
-    Job(InferenceJob),
     /// One shard of a job (coordinator → worker).
     Shard(JobShard),
     /// A shard's results (worker → coordinator).
@@ -579,8 +585,6 @@ pub enum WireMessage {
     /// config, so the coordinator can verify the worker now runs its
     /// physics.
     ConfigureAck(Handshake),
-    /// v4: a full layer-program job (client → coordinator).
-    ProgramJob(ProgramJob),
     /// v4: one shard of a program job (coordinator → worker).
     ProgramShard(ProgramShard),
     /// v4: a program shard's results (worker → coordinator).
@@ -1384,7 +1388,6 @@ fn get_config(r: &mut Reader<'_>) -> Result<OisaConfig> {
 /// The tag [`encode`] writes for `message`.
 fn tag_for(message: &WireMessage) -> u8 {
     match message {
-        WireMessage::Job(_) => TAG_JOB,
         WireMessage::Shard(_) => TAG_SHARD,
         WireMessage::Report(_) => TAG_REPORT,
         WireMessage::Refusal(_) => TAG_REFUSAL,
@@ -1392,7 +1395,6 @@ fn tag_for(message: &WireMessage) -> u8 {
         WireMessage::Pong(_) => TAG_PONG,
         WireMessage::Configure(_) => TAG_CONFIGURE,
         WireMessage::ConfigureAck(_) => TAG_CONFIGURE_ACK,
-        WireMessage::ProgramJob(_) => TAG_PROGRAM_JOB,
         WireMessage::ProgramShard(_) => TAG_PROGRAM_SHARD,
         WireMessage::ProgramReport(_) => TAG_PROGRAM_REPORT,
     }
@@ -1415,12 +1417,6 @@ pub fn encode(message: &WireMessage) -> Vec<u8> {
     w.u16(version_for(message));
     w.u8(tag_for(message));
     match message {
-        WireMessage::Job(job) => {
-            w.u64(job.job_id);
-            w.u64(job.k as u64);
-            put_kernels(&mut w, &job.kernels);
-            put_frames(&mut w, &job.frames);
-        }
         WireMessage::Shard(shard) => put_shard_body(&mut w, shard),
         WireMessage::Report(report) => {
             w.u64(report.job_id);
@@ -1444,11 +1440,6 @@ pub fn encode(message: &WireMessage) -> Vec<u8> {
         WireMessage::Configure(push) => {
             w.u64(push.nonce);
             put_config(&mut w, &push.config);
-        }
-        WireMessage::ProgramJob(job) => {
-            w.u64(job.job_id);
-            put_program(&mut w, &job.program);
-            put_frames(&mut w, &job.frames);
         }
         WireMessage::ProgramShard(shard) => put_program_shard_body(&mut w, shard),
         WireMessage::ProgramReport(report) => {
@@ -1540,12 +1531,6 @@ pub fn decode(payload: &[u8]) -> Result<WireMessage> {
         )));
     }
     let message = match tag {
-        TAG_JOB => WireMessage::Job(InferenceJob {
-            job_id: r.u64()?,
-            k: r.usize_from_u64("job.k")?,
-            kernels: get_kernels(&mut r)?,
-            frames: get_frames(&mut r)?,
-        }),
         TAG_SHARD => WireMessage::Shard(JobShard {
             job_id: r.u64()?,
             shard_index: r.u32()?,
@@ -1592,11 +1577,6 @@ pub fn decode(payload: &[u8]) -> Result<WireMessage> {
         TAG_CONFIGURE_ACK => WireMessage::ConfigureAck(Handshake {
             nonce: r.u64()?,
             config_fingerprint: r.u64()?,
-        }),
-        TAG_PROGRAM_JOB => WireMessage::ProgramJob(ProgramJob {
-            job_id: r.u64()?,
-            program: get_program(&mut r)?,
-            frames: get_frames(&mut r)?,
         }),
         TAG_PROGRAM_SHARD => WireMessage::ProgramShard(ProgramShard {
             job_id: r.u64()?,
@@ -1726,9 +1706,15 @@ pub fn receive<R: Read>(reader: &mut R) -> Result<Option<WireMessage>> {
 mod tests {
     use super::*;
 
-    fn sample_job() -> InferenceJob {
-        InferenceJob {
+    fn sample_shard() -> JobShard {
+        JobShard {
             job_id: 7,
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: 0,
+            config_fingerprint: 0xABCD,
+            entry: FabricEntry::Cold,
             k: 3,
             kernels: vec![vec![0.5f32; 9], vec![-0.25f32; 9]],
             frames: vec![
@@ -1826,7 +1812,7 @@ mod tests {
             frames: vec![Frame::constant(3, 5, 0.5).unwrap()],
         };
         let messages = [
-            WireMessage::Job(sample_job()),
+            WireMessage::Shard(sample_shard()),
             WireMessage::Shard(shard),
             WireMessage::Report(sample_report()),
             WireMessage::Refusal(ShardRefusal {
@@ -1863,11 +1849,6 @@ mod tests {
             WireMessage::ConfigureAck(Handshake {
                 nonce: 42,
                 config_fingerprint: 0xBEEF,
-            }),
-            WireMessage::ProgramJob(ProgramJob {
-                job_id: 11,
-                program: sample_program(),
-                frames: vec![Frame::constant(4, 4, 0.5).unwrap()],
             }),
             WireMessage::ProgramShard(sample_program_shard()),
             WireMessage::ProgramReport(ProgramReport {
@@ -1926,7 +1907,7 @@ mod tests {
     fn legacy_messages_stay_stamped_v2_and_both_versions_decode() {
         // The v2-interop rule: pre-v3 messages travel under the legacy
         // stamp so genuine v2 peers accept them...
-        let bytes = encode(&WireMessage::Job(sample_job()));
+        let bytes = encode(&WireMessage::Shard(sample_shard()));
         assert_eq!(
             u16::from_le_bytes([bytes[2], bytes[3]]),
             LEGACY_SCHEMA_VERSION
@@ -2039,16 +2020,29 @@ mod tests {
             .map(|&(t, _)| t)
             .collect();
         assert_eq!(v3_only, vec![TAG_CONFIGURE, TAG_CONFIGURE_ACK]);
-        // ...and exactly the layer-program trio is v4-only.
+        // ...and exactly the layer-program pair is v4-only.
         let v4_only: Vec<u8> = TAG_MIN_VERSION
             .iter()
             .filter(|&&(_, v)| v == 4)
             .map(|&(t, _)| t)
             .collect();
-        assert_eq!(
-            v4_only,
-            vec![TAG_PROGRAM_JOB, TAG_PROGRAM_SHARD, TAG_PROGRAM_REPORT]
-        );
+        assert_eq!(v4_only, vec![TAG_PROGRAM_SHARD, TAG_PROGRAM_REPORT]);
+    }
+
+    #[test]
+    fn retired_tags_stay_unassigned_and_decode_as_unknown() {
+        // Tags 1 (Job) and 9 (ProgramJob) are retired: no registry row
+        // may claim them, and a payload carrying one is refused as an
+        // unknown tag under every stamp this build accepts.
+        for retired in [1u8, 9] {
+            assert_eq!(min_version_for(retired), None, "tag {retired} reassigned");
+            for version in [LEGACY_SCHEMA_VERSION, V3_SCHEMA_VERSION, SCHEMA_VERSION] {
+                let mut bytes = encode(&WireMessage::Shard(sample_shard()));
+                bytes[2..4].copy_from_slice(&version.to_le_bytes());
+                bytes[4] = retired;
+                assert_eq!(decode(&bytes), Err(WireError::UnknownTag(retired)));
+            }
+        }
     }
 
     #[test]
@@ -2149,7 +2143,7 @@ mod tests {
 
     #[test]
     fn version_and_magic_are_enforced() {
-        let mut bytes = encode(&WireMessage::Job(sample_job()));
+        let mut bytes = encode(&WireMessage::Shard(sample_shard()));
         // Payload layout: magic(2) version(2) tag(1) ...
         bytes[2] = 0xFF;
         bytes[3] = 0xFF;
@@ -2157,10 +2151,10 @@ mod tests {
             decode(&bytes),
             Err(WireError::UnsupportedVersion { got: 0xFFFF })
         );
-        let mut bad_magic = encode(&WireMessage::Job(sample_job()));
+        let mut bad_magic = encode(&WireMessage::Shard(sample_shard()));
         bad_magic[0] = b'X';
         assert!(matches!(decode(&bad_magic), Err(WireError::BadMagic(_))));
-        let mut bad_tag = encode(&WireMessage::Job(sample_job()));
+        let mut bad_tag = encode(&WireMessage::Shard(sample_shard()));
         bad_tag[4] = 0xEE;
         assert_eq!(decode(&bad_tag), Err(WireError::UnknownTag(0xEE)));
     }
@@ -2182,7 +2176,7 @@ mod tests {
 
     #[test]
     fn frame_pixels_outside_unit_range_are_rejected() {
-        let mut bytes = encode(&WireMessage::Job(sample_job()));
+        let mut bytes = encode(&WireMessage::Shard(sample_shard()));
         // The last 8 bytes are the final pixel; overwrite with 2.0.
         let n = bytes.len();
         bytes[n - 8..].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
@@ -2244,10 +2238,11 @@ mod tests {
 
     #[test]
     fn corrupt_collection_count_fails_before_allocating() {
-        let mut bytes = encode(&WireMessage::Job(sample_job()));
-        // kernels count lives right after magic+version+tag+job_id+k =
-        // 2+2+1+8+8 = 21 bytes.
-        bytes[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bytes = encode(&WireMessage::Shard(sample_shard()));
+        // The kernels count follows magic+version+tag (5), job_id,
+        // shard_index, shard_count, first_frame, first_epoch and the
+        // fingerprint (40), the cold entry byte (1) and k (8): byte 54.
+        bytes[54..58].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(WireError::Truncated { .. })));
     }
 }

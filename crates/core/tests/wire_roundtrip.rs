@@ -11,7 +11,7 @@ use oisa_core::accelerator::{EnergyReport, OisaConfig};
 use oisa_core::controller::Timeline;
 use oisa_core::wire::{
     decode, encode, read_frame, receive, send, write_frame, ConfigPush, FabricEntry, Handshake,
-    InferenceJob, JobShard, RefusalCode, ShardRefusal, ShardReport, WireMessage,
+    JobShard, RefusalCode, ShardRefusal, ShardReport, WireMessage,
 };
 use oisa_core::{ConvolutionReport, MappingPlan};
 use oisa_sensor::frame::Frame;
@@ -76,15 +76,6 @@ fn sample_report() -> ShardReport {
 
 fn all_messages() -> Vec<WireMessage> {
     vec![
-        WireMessage::Job(InferenceJob {
-            job_id: 11,
-            k: 3,
-            kernels: vec![vec![0.5f32; 9]],
-            frames: vec![
-                Frame::constant(4, 4, 0.25).expect("valid frame"),
-                Frame::constant(4, 4, 0.75).expect("valid frame"),
-            ],
-        }),
         WireMessage::Shard(sample_shard()),
         WireMessage::Report(sample_report()),
         WireMessage::Refusal(ShardRefusal {

@@ -27,8 +27,20 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 use crate::sense_amp::gaussian;
-use crate::simd::{mix64, mix64_key_pairs_scalar, mix64_lanes, COUNTER_MUL, LANES};
 use crate::{DeviceError, Result};
+
+/// The counter-spreading multiplier applied before the stream-key mix
+/// in [`NoiseStream::gaussian_at`].
+const COUNTER_MUL: u64 = 0xA24B_AED4_963E_E407;
+
+/// SplitMix64 finaliser over one state word.
+#[inline]
+fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Relative noise intensities applied along the optical MAC path.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -285,169 +297,6 @@ impl SlotStream {
             tables: self.tables,
         }
     }
-
-    /// The streams for [`LANES`] consecutive output positions
-    /// (`position .. position + LANES`), held together so draws at a
-    /// shared counter can run across all of them in lockstep.
-    ///
-    /// Each lane's key is exactly the key [`SlotStream::at`] derives
-    /// for that position, so a [`StreamQuad`] draw is bit-equal to the
-    /// corresponding per-position draws — by construction, not by
-    /// tolerance.
-    #[inline]
-    #[must_use]
-    pub fn quad_at(&self, position: u64) -> StreamQuad {
-        let mut keys = [0u64; LANES];
-        for (l, key) in keys.iter_mut().enumerate() {
-            *key =
-                mix64(self.partial_key ^ (position + l as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
-        StreamQuad {
-            keys,
-            config: self.config,
-            tables: self.tables,
-        }
-    }
-}
-
-/// [`LANES`] positionally-consecutive [`NoiseStream`]s evaluated in
-/// lockstep — the noise side of the across-window MAC.
-///
-/// Adjacent convolution output positions consume the *same* counters
-/// (the weight/ring index layout does not depend on the position) and
-/// differ only in stream key, which makes the batched mixing shape
-/// "per-lane keys, broadcast counter": one scalar counter spread
-/// shared by every lane, then a vectorised finaliser over the four
-/// states. Draws through this type are bit-equal to the same draws
-/// through [`SlotStream::at`] on each position individually.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamQuad {
-    keys: [u64; LANES],
-    config: NoiseConfig,
-    tables: &'static ZigTables,
-}
-
-impl StreamQuad {
-    /// The configured intensities (shared by every lane).
-    #[must_use]
-    pub fn config(&self) -> &NoiseConfig {
-        &self.config
-    }
-
-    /// The single-position stream for lane `l` (`l < LANES`) — the
-    /// remainder/reference path of the across-window MAC.
-    #[inline]
-    #[must_use]
-    pub fn lane(&self, l: usize) -> NoiseStream {
-        NoiseStream {
-            key: self.keys[l],
-            config: self.config,
-            tables: self.tables,
-        }
-    }
-
-    /// The draw pair (`c`, `c + 1`) on every lane: the first array
-    /// holds each lane's counter-`c` draw, the second its counter-
-    /// `c + 1` draw. Bit-equal to `self.lane(l).gaussian_at(c)` /
-    /// `gaussian_at(c + 1)` per lane.
-    ///
-    /// This is the shape the across-window MAC consumes: channel `i`
-    /// draws the (VCSEL, drift) counter pair `(2·i, 2·i + 1)` under
-    /// all [`LANES`] window keys at once.
-    #[inline]
-    #[must_use]
-    pub fn gaussian_pair_at(&self, c: u64) -> ([f64; LANES], [f64; LANES]) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            use crate::simd::Tier;
-            match crate::simd::tier() {
-                // SAFETY: the tier is only reported after the matching
-                // target features were runtime-detected on this CPU.
-                Tier::Avx512 => return unsafe { self.gaussian_pair_at_avx512(c) },
-                Tier::Avx2 => return unsafe { self.gaussian_pair_at_avx2(c) },
-                Tier::Scalar => {}
-            }
-        }
-        self.gaussian_pair_at_scalar(c)
-    }
-
-    /// Per-lane ziggurat finish over a mixed pair batch (counter-`c`
-    /// words first, counter-`c + 1` words after).
-    #[inline(always)]
-    fn pair_from_mixed(&self, mixed: [u64; 2 * LANES]) -> ([f64; LANES], [f64; LANES]) {
-        let mut first = [0.0f64; LANES];
-        let mut second = [0.0f64; LANES];
-        for l in 0..LANES {
-            first[l] = ziggurat_from_bits(self.tables, mixed[l]);
-            second[l] = ziggurat_from_bits(self.tables, mixed[LANES + l]);
-        }
-        (first, second)
-    }
-
-    /// Portable pair draw: scalar mixing, same finish. Doc-hidden: the
-    /// optics hot path calls the per-tier draws directly from its own
-    /// `#[target_feature]`-specialised loop bodies, where they inline,
-    /// instead of dispatching per channel.
-    #[doc(hidden)]
-    #[inline(always)]
-    #[must_use]
-    pub fn gaussian_pair_at_scalar(&self, c: u64) -> ([f64; LANES], [f64; LANES]) {
-        self.pair_from_mixed(mix64_key_pairs_scalar(self.keys, c))
-    }
-
-    /// Pair draw on the AVX2 mixing tier (doc-hidden; see
-    /// [`StreamQuad::gaussian_pair_at_scalar`]). Safe
-    /// `#[target_feature]` fn: callers that have not proven AVX2
-    /// support must still wrap the call in `unsafe`.
-    #[doc(hidden)]
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    #[must_use]
-    pub fn gaussian_pair_at_avx2(&self, c: u64) -> ([f64; LANES], [f64; LANES]) {
-        self.pair_from_mixed(crate::simd::x86::mix64_key_pairs_avx2(self.keys, c))
-    }
-
-    /// Pair draw on the AVX-512 mixing tier (doc-hidden; see
-    /// [`StreamQuad::gaussian_pair_at_scalar`]). Safe
-    /// `#[target_feature]` fn: callers that have not proven
-    /// AVX-512DQ/VL support must still wrap the call in `unsafe`.
-    #[doc(hidden)]
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    #[target_feature(enable = "avx512dq,avx512vl")]
-    #[must_use]
-    pub fn gaussian_pair_at_avx512(&self, c: u64) -> ([f64; LANES], [f64; LANES]) {
-        self.pair_from_mixed(crate::simd::x86::mix64_key_pairs_avx512(self.keys, c))
-    }
-
-    /// One standard-normal draw at `counter` on every lane — bit-equal
-    /// to `self.lane(l).gaussian_at(counter)` per lane. Used once per
-    /// window for the detector draw, so the mixing stays scalar.
-    #[inline]
-    #[must_use]
-    pub fn gaussian_at(&self, counter: u64) -> [f64; LANES] {
-        let spread = counter.wrapping_mul(COUNTER_MUL);
-        self.keys
-            .map(|key| ziggurat_from_bits(self.tables, mix64(key ^ spread)))
-    }
-
-    /// Detector noise on each lane's `value`, addressed by `counter` —
-    /// bit-equal to `self.lane(l).detector_at(counter, values[l],
-    /// full_scale)` per lane, including the draw-free `σ = 0` path.
-    #[inline]
-    #[must_use]
-    pub fn detector_at(&self, counter: u64, values: [f64; LANES], full_scale: f64) -> [f64; LANES] {
-        if self.config.detector == 0.0 {
-            return values;
-        }
-        let g = self.gaussian_at(counter);
-        let mut out = values;
-        for l in 0..LANES {
-            out[l] += self.config.detector * full_scale * g[l];
-        }
-        out
-    }
 }
 
 impl NoiseModel for NoiseSource {
@@ -523,8 +372,8 @@ fn zig_tables() -> &'static ZigTables {
     })
 }
 
-/// The ziggurat finish shared by every draw path: layer index and
-/// uniform from one mixed word, rectangle acceptance, cold
+/// The ziggurat finish of [`NoiseStream::gaussian_at`]: layer index
+/// and uniform from one mixed word, rectangle acceptance, cold
 /// continuation on rejection.
 #[inline(always)]
 fn ziggurat_from_bits(tables: &ZigTables, bits: u64) -> f64 {
@@ -622,31 +471,7 @@ impl NoiseStream {
         self.ziggurat_from_bits(mix64(self.key ^ counter.wrapping_mul(COUNTER_MUL)))
     }
 
-    /// [`LANES`] standard-normal draws at explicit counters — bit-equal
-    /// to [`LANES`] scalar [`NoiseStream::gaussian_at`] calls on the
-    /// same counters, by construction rather than by tolerance.
-    ///
-    /// The SplitMix64 counter mixing is batched through
-    /// [`crate::simd::mix64_lanes`], which dispatches to a vector
-    /// kernel when the `simd` feature is on and the CPU supports one;
-    /// integer mixing is exact on every tier. The ziggurat layer
-    /// lookup, acceptance compare and `u · x[i]` finish then run per
-    /// lane with the identical IEEE operations the scalar path
-    /// performs, and the rare rejected lane (≈ 1.2 % of draws) falls
-    /// back to the same cold `ziggurat_slow` continuation seeded from
-    /// that lane's mixed bits.
-    #[inline(always)]
-    #[must_use]
-    pub fn gaussian_at_lanes(&self, counters: [u64; LANES]) -> [f64; LANES] {
-        let mixed = mix64_lanes(self.key, counters);
-        let mut out = [0.0f64; LANES];
-        for l in 0..LANES {
-            out[l] = self.ziggurat_from_bits(mixed[l]);
-        }
-        out
-    }
-
-    /// The ziggurat finish shared by every draw path (see the free
+    /// The ziggurat finish over this stream's tables (see the free
     /// [`ziggurat_from_bits`]).
     #[inline(always)]
     fn ziggurat_from_bits(&self, bits: u64) -> f64 {
@@ -830,65 +655,51 @@ mod tests {
         assert_eq!(base, src.stream(0, 1, 1).gaussian_at(0));
     }
 
-    #[test]
-    fn gaussian_lanes_match_four_scalar_draws() {
-        let src = NoiseSource::seeded(31, NoiseConfig::paper_default());
-        let s = src.stream(2, 5, 77);
-        // 4096 draws cover dozens of slow-path rejections statistically;
-        // the dedicated tests below force them deterministically.
-        for base in (0..4096u64).step_by(4) {
-            let cs = [base, base + 1, base + 2, base + 3];
-            let lanes = s.gaussian_at_lanes(cs);
-            for (l, &c) in cs.iter().enumerate() {
-                assert_eq!(lanes[l], s.gaussian_at(c), "lane {l} counter {c}");
-            }
-        }
-        // Lane order is positional, not sorted: scrambled counters too.
-        let cs = [901u64, 3, 44_000, 17];
-        let lanes = s.gaussian_at_lanes(cs);
-        for (l, &c) in cs.iter().enumerate() {
-            assert_eq!(lanes[l], s.gaussian_at(c));
-        }
-    }
-
     /// Finds the first counter at or after `from` whose fast-path
-    /// rectangle draw is rejected (optionally also requiring the tail
-    /// layer `i == 0`), forcing [`ziggurat_slow`].
-    fn rejected_counter(s: &NoiseStream, from: u64, tail_only: bool) -> u64 {
+    /// rectangle draw is rejected, forcing [`ziggurat_slow`]: in the
+    /// tail layer `i == 0` when `tail` is set, in a wedge layer
+    /// `i > 0` otherwise.
+    fn rejected_counter(s: &NoiseStream, from: u64, tail: bool) -> u64 {
         let tables = zig_tables();
         (from..from + 10_000_000)
             .find(|c| {
                 let bits = mix64(s.key ^ c.wrapping_mul(COUNTER_MUL));
                 let i = (bits & 0x7F) as usize;
                 let u = 2.0 * ((bits >> 12) as f64 * (1.0 / (1u64 << 52) as f64)) - 1.0;
-                u.abs() >= tables.ratio[i] && (!tail_only || i == 0)
+                u.abs() >= tables.ratio[i] && (i == 0) == tail
             })
             .expect("no rejected rectangle draw found")
     }
 
     #[test]
-    fn gaussian_lanes_cover_the_ziggurat_slow_path() {
+    fn gaussian_at_wedge_rejections_replay_golden_bits() {
         let src = NoiseSource::seeded(8, NoiseConfig::paper_default());
         let s = src.stream(0, 0, 0);
-        // A wedge/tail rejection in every lane position.
-        for lane in 0..4u64 {
-            let c = rejected_counter(&s, 1000 * lane, false);
-            let mut cs = [c + 1, c + 2, c + 3, c + 4];
-            cs[lane as usize] = c;
-            let lanes = s.gaussian_at_lanes(cs);
-            for (l, &cc) in cs.iter().enumerate() {
-                assert_eq!(lanes[l], s.gaussian_at(cc), "lane {l} counter {cc}");
-            }
+        // (search start, rejected counter, draw bits): the slow path's
+        // output is part of the noise-stream contract, so these bits
+        // must never change.
+        let golden = [
+            (0, 8, 0xC005_C02E_F01A_F718u64),
+            (1000, 1049, 0xBFBD_8B2B_9ADC_FC51),
+            (2000, 2021, 0xC002_D8D2_F2C3_0EF5),
+            (3000, 3059, 0xC00A_4C66_1505_5393),
+        ];
+        for (from, counter, bits) in golden {
+            let c = rejected_counter(&s, from, false);
+            assert_eq!(c, counter, "wedge rejection after {from}");
+            assert_eq!(s.gaussian_at(c).to_bits(), bits, "counter {c}");
         }
-        // And the Marsaglia tail (layer 0) specifically.
+    }
+
+    #[test]
+    fn gaussian_at_marsaglia_tail_replays_golden_bits() {
+        let src = NoiseSource::seeded(8, NoiseConfig::paper_default());
+        let s = src.stream(0, 0, 0);
         let t = rejected_counter(&s, 0, true);
-        let lanes = s.gaussian_at_lanes([t, t + 1, t + 2, t + 3]);
-        assert_eq!(lanes[0], s.gaussian_at(t));
-        assert!(
-            lanes[0].abs() > 3.0,
-            "tail draw should be extreme: {}",
-            lanes[0]
-        );
+        assert_eq!(t, 1489);
+        let g = s.gaussian_at(t);
+        assert_eq!(g.to_bits(), 0x400C_AFC8_C50C_C857, "tail draw {g}");
+        assert!(g.abs() > 3.0, "tail draw should be extreme: {g}");
     }
 
     #[test]

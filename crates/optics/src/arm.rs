@@ -13,7 +13,7 @@
 //! Every MAC path in this module — [`Arm::mac_indexed`] (the fused
 //! fast path), [`Arm::mac`] (general [`NoiseModel`] evaluation) and
 //! [`Arm::mac_reference`] (the pre-optimisation port) — accumulates
-//! each detector rail into **[`LANES`] fixed lanes** (element `i`
+//! each detector rail into **`LANES` = 4 fixed lanes** (element `i`
 //! lands in lane `i mod LANES`) and reduces them through one canonical
 //! tree: `(l0 + l2) + (l1 + l3)`. Floating-point addition is not
 //! associative, so the fold order is part of the wire-level
@@ -21,51 +21,28 @@
 //! TCP and serving engines all replay this exact tree and therefore
 //! the exact same bits. Do not "simplify" the fold back to a single
 //! accumulator, and never let a host vector width dictate a different
-//! lane count — [`LANES`] is a contract constant, not a tuning knob.
+//! lane count — `LANES` is a contract constant, not a tuning knob.
 //!
-//! # Where vectorisation pays (and where it doesn't)
+//! # The one MAC kernel
 //!
-//! Two MAC kernels share the lane contract:
+//! Every convolution engine evaluates one output position at a time
+//! through [`ArmSnapshot::mac_indexed`]: scalar SplitMix64 mixing per draw
+//! ([`NoiseStream::gaussian_at`]), `activation == 0` skipped by an
+//! early `continue`. A zero's counters are positional (element `i`
+//! always owns `base + 2i`/`base + 2i + 1`), so skipping draws is
+//! bit-identical to drawing and multiplying by zero.
 //!
-//! * **Per-window** ([`ArmSnapshot::mac_indexed`]): one output
-//!   position, scalar SplitMix64 mixing, `activation == 0` skipped by
-//!   an early `continue`. A zero's counters are positional (element
-//!   `i` always owns `base + 2i`/`base + 2i + 1`), so skipping draws
-//!   is bit-identical to drawing and multiplying by zero.
-//! * **Across-window ×4** ([`ArmSnapshot::mac_indexed_x4`]): [`LANES`]
-//!   consecutive output positions evaluate in lockstep against one
-//!   [`StreamQuad`] — same counters, same weights, the streams differ
-//!   only in key, so one batched key-pair mix
-//!   (`mix64_key_pairs`, AVX2/AVX-512 dispatched when the `simd`
-//!   cargo feature is on) yields both draws for all four windows. The
-//!   vector kernels are pure integer code and the per-lane ziggurat
-//!   finish performs the identical IEEE operations in the identical
-//!   order as the scalar fallback, so toggling the feature, pinning
-//!   `OISA_SIMD_TIER`, or mixing vector tiers across a sharded fleet
-//!   never changes a single output bit — only wall-clock.
-//!
-//! Measured on the bench host (Skylake-SP-class, AVX-512 tier, paper
-//! noise config, `cargo bench -p oisa_bench`): a 9-tap per-window MAC
-//! runs ≈ 80–110 ns and the chained fold sits at ≈ 11 ns/ring
-//! (`mac_core_{72,256,1024}_rings`, `perf_json`'s `mac_ns_per_ring`
-//! block). The honest finding: **vector integer mixing does not beat
-//! scalar mixing here.** A batch of 4 draws costs ≈ 42 ns vectorised
-//! vs ≈ 15–23 ns as 4 scalar draws (`gaussian_at_lanes` vs
-//! `gaussian_at_4_scalar`), because 64-bit vector multiplies are
-//! microcoded/emulated on this tier while the three scalar `imul`s per
-//! draw pipeline perfectly across 14+ independent draws, and the
-//! scalar ziggurat finish dominates either way. At the frame level the
-//! ×4 kernel also gives up the zero-skip (ternary windows are full of
-//! exact zeros), so the engines stay on the per-window fold and ×4
-//! measured ≈ 110–127 ns/window vs 78–110 ns — the batched kernel
-//! remains available, tested bit-identical, for hosts with fast
-//! `vpmullq`. Regenerate `bench/baseline.json` with `perf_json` after
-//! touching anything in this file.
+//! Measured on the bench host (Skylake-SP-class, paper noise config,
+//! `cargo bench -p oisa_bench`): a 9-tap MAC runs ≈ 80–110 ns and the
+//! chained fold sits at ≈ 11 ns/ring (`mac_core_{72,256,1024}_rings`,
+//! `perf_json`'s `mac_ns_per_ring` block). Vector 64-bit mixing was
+//! tried and measured slower than this scalar path on that host, so
+//! the kernel stays scalar. Regenerate `bench/baseline.json` with
+//! `perf_json` after touching anything in this file.
 
 use oisa_device::mr::{Microring, MrDesign};
-use oisa_device::noise::{NoiseModel, NoiseStream, StreamQuad};
+use oisa_device::noise::{NoiseModel, NoiseStream};
 use oisa_device::photodiode::{BalancedPhotodetector, PhotodiodeParams};
-use oisa_device::simd::LANES;
 use oisa_device::waveguide::{ChannelPlan, LossBudget, OpticalPath};
 use oisa_units::{Joule, Meter, Second, Watt};
 use serde::{Deserialize, Serialize};
@@ -75,6 +52,10 @@ use crate::{OpticsError, Result};
 
 /// Number of microrings per arm (paper §III-B).
 pub const RINGS_PER_ARM: usize = 10;
+
+/// Accumulator lanes per detector rail: the rail-fold contract of
+/// `mac_core`, `mac_indexed_core` and [`reduce_lanes`] (module docs).
+const LANES: usize = 4;
 
 /// Arm configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -180,43 +161,6 @@ impl ArmSnapshot {
             stream,
             base,
         )
-    }
-
-    /// Across-window fused MAC: evaluates this snapshot's weight
-    /// window against [`LANES`] activation windows in lockstep, one
-    /// per lane of `quad` — bit-identical per window to
-    /// [`ArmSnapshot::mac_indexed`] with `quad.lane(l)` as the stream.
-    ///
-    /// `activations` is element-major: `activations[i * LANES + l]`
-    /// holds element `i` of window `l`, with `m` elements per window
-    /// (`activations.len() == m * LANES`). Adjacent convolution output
-    /// windows make this layout a cheap gather — element `i` of
-    /// [`LANES`] consecutive windows are [`LANES`] consecutive frame
-    /// pixels.
-    ///
-    /// Returns the per-window `(values, optical energies)`.
-    #[must_use]
-    pub fn mac_indexed_x4(
-        &self,
-        activations: &[f64],
-        m: usize,
-        quad: &StreamQuad,
-        base: u64,
-    ) -> ([f64; LANES], [f64; LANES]) {
-        debug_assert_eq!(activations.len(), m * LANES);
-        debug_assert!(m <= self.weights.len());
-        mac_indexed_x4_core(&MacX4Args {
-            weights: &self.weights,
-            ring_gain: &self.ring_gain,
-            detector: &self.detector,
-            per_channel_full: self.per_channel_full,
-            channel_power_w: self.channel_power,
-            dwell_s: self.dwell.get(),
-            activations,
-            m,
-            quad,
-            base,
-        })
     }
 
     /// General MAC through any [`NoiseModel`] — bit-identical to
@@ -559,12 +503,13 @@ impl Arm {
     /// Fused fast-path MAC for the accelerator's inner loop: draws are
     /// addressed on `stream` by explicit counters starting at `base`
     /// (channel `i` uses `base + 2i` / `base + 2i + 1`, the detector
-    /// `base + 2m` where `m = activations.len()`), nonzero elements
-    /// are compacted and evaluated [`LANES`] at a time with batched
-    /// Gaussian draws and branchless rail masks (a zero activation
-    /// would contribute an exact `+0.0`, and its counters stay
-    /// addressed to it, so skipping it changes no output bit), and no
-    /// [`MacResult`] is built.
+    /// `base + 2m` where `m = activations.len()`), each nonzero
+    /// element draws its two Gaussians with scalar
+    /// [`NoiseStream::gaussian_at`] and folds into rail lane
+    /// `i mod LANES` (a zero activation is skipped: it would contribute
+    /// an exact `+0.0`, and its counters stay addressed to it, so
+    /// skipping it changes no output bit), and no [`MacResult`] is
+    /// built.
     ///
     /// Returns `(value, optical_energy_joules)`. Activations must
     /// already be validated to `[0, 1]` by the caller — the accelerator
@@ -808,12 +753,10 @@ fn reduce_lanes(acc: [f64; LANES]) -> f64 {
 /// and discarding (a zero's contribution is an exact `±0.0` into a
 /// non-negative accumulator, which can never change its bits).
 ///
-/// The per-element draws stay deliberately scalar here: paper-shaped
-/// windows (9 taps on a 10-ring arm) are too short for within-window
-/// mixing batches to pay — the batched multiply chain's latency lands
-/// on the critical path, where the scalar interleaving hides it. The
-/// vector win on convolution comes from [`mac_indexed_x4_core`]
-/// evaluating adjacent windows in lockstep instead.
+/// The per-element draws stay deliberately scalar: paper-shaped
+/// windows (9 taps on a 10-ring arm) are too short for batched mixing
+/// to pay, because the batched multiply chain's latency lands on the
+/// critical path, where the scalar interleaving hides it.
 #[allow(clippy::too_many_arguments)]
 fn mac_indexed_core(
     weights: &[MappedWeight],
@@ -858,149 +801,6 @@ fn mac_indexed_core(
     let full_scale = per_channel_full * m.max(1) as f64;
     let noisy = stream.detector_at(base + 2 * m as u64, diff.get(), full_scale);
     (noisy / per_channel_full, (p_pos + p_neg) * dwell_s)
-}
-
-/// Arguments shared by every tier specialisation of the across-window
-/// MAC. `activations` is element-major — `activations[i * LANES + l]`
-/// is element `i` of window `l` — and `m` is the per-window length.
-struct MacX4Args<'a> {
-    weights: &'a [MappedWeight],
-    ring_gain: &'a [f64],
-    detector: &'a BalancedPhotodetector,
-    per_channel_full: f64,
-    channel_power_w: f64,
-    dwell_s: f64,
-    activations: &'a [f64],
-    m: usize,
-    quad: &'a StreamQuad,
-    base: u64,
-}
-
-/// The across-window fused MAC: one weight window against [`LANES`]
-/// activation windows in lockstep, bit-identical per window to
-/// [`mac_indexed_core`] on that window's own stream.
-///
-/// This is where the vector units finally pay on paper-shaped (short)
-/// windows. Adjacent convolution output positions consume the *same*
-/// counters and weights and differ only in stream key, so channel
-/// `i`'s (VCSEL, drift) draw pair batches across the four windows with
-/// per-lane keys — one scalar counter spread feeding a vectorised
-/// finaliser (see [`StreamQuad::gaussian_pair_at`]) — and the MAC
-/// arithmetic itself runs element-by-element over four independent
-/// window values.
-///
-/// Bit-identity per window holds by construction: element `i` of
-/// window `l` performs the identical IEEE operations on the identical
-/// draws as the per-window path, folding into rail `i mod LANES` of
-/// window `l`'s own accumulators (`pos[rail][l]`), and windows never
-/// mix. The only difference from four separate calls is that zero
-/// activations draw-and-discard instead of skipping — which the
-/// per-window path's own contract already proves bit-equivalent (an
-/// exact `±0.0` into a non-negative accumulator), and which is forced
-/// here anyway because the *other* windows still need the batch.
-///
-/// Generic over the pair-draw so [`mac_indexed_x4_core`] can compile
-/// one `#[target_feature]`-specialised copy per mixing tier, letting
-/// the vector kernel inline into the loop instead of paying an
-/// out-of-line call per channel.
-#[inline(always)]
-fn mac_indexed_x4_body<D: Fn(&StreamQuad, u64) -> ([f64; LANES], [f64; LANES])>(
-    a: &MacX4Args<'_>,
-    draw_pairs: D,
-) -> ([f64; LANES], [f64; LANES]) {
-    let m = a.m;
-    let n = m.min(a.weights.len());
-    let cfg = a.quad.config();
-    let sv = cfg.vcsel_rin;
-    let sm = cfg.mr_drift;
-    let mut pos = [[0.0f64; LANES]; LANES];
-    let mut neg = [[0.0f64; LANES]; LANES];
-    for i in 0..n {
-        let w = &a.weights[i];
-        let gain = a.ring_gain[i];
-        let (g_vcsel, g_drift) = draw_pairs(a.quad, a.base + 2 * i as u64);
-        let acts = &a.activations[i * LANES..(i + 1) * LANES];
-        let rail = i % LANES;
-        // The sign branch hoists above the window loop (the weight is
-        // shared), so the inner body is branch-free and vectorises.
-        if w.negative {
-            for l in 0..LANES {
-                let launched = (a.channel_power_w * acts[l] * (1.0 + sv * g_vcsel[l])).max(0.0);
-                let t = (w.magnitude * (1.0 + sm * g_drift[l])).clamp(0.0, 1.0);
-                neg[rail][l] += launched * t * gain;
-            }
-        } else {
-            for l in 0..LANES {
-                let launched = (a.channel_power_w * acts[l] * (1.0 + sv * g_vcsel[l])).max(0.0);
-                let t = (w.magnitude * (1.0 + sm * g_drift[l])).clamp(0.0, 1.0);
-                pos[rail][l] += launched * t * gain;
-            }
-        }
-    }
-    let full_scale = a.per_channel_full * m.max(1) as f64;
-    let mut diffs = [0.0f64; LANES];
-    let mut p_sum = [0.0f64; LANES];
-    for l in 0..LANES {
-        let p_pos = reduce_lanes([pos[0][l], pos[1][l], pos[2][l], pos[3][l]]);
-        let p_neg = reduce_lanes([neg[0][l], neg[1][l], neg[2][l], neg[3][l]]);
-        diffs[l] = a
-            .detector
-            .difference_current(Watt::new(p_pos), Watt::new(p_neg))
-            .get();
-        p_sum[l] = p_pos + p_neg;
-    }
-    let noisy = a.quad.detector_at(a.base + 2 * m as u64, diffs, full_scale);
-    let mut values = [0.0f64; LANES];
-    let mut energies = [0.0f64; LANES];
-    for l in 0..LANES {
-        values[l] = noisy[l] / a.per_channel_full;
-        energies[l] = p_sum[l] * a.dwell_s;
-    }
-    (values, energies)
-}
-
-/// Portable specialisation of the across-window MAC: scalar mixing,
-/// compiled without any vector feature. Also the only body on
-/// non-x86_64 targets or with the `simd` feature disabled.
-fn mac_indexed_x4_scalar(a: &MacX4Args<'_>) -> ([f64; LANES], [f64; LANES]) {
-    mac_indexed_x4_body(a, |q, c| q.gaussian_pair_at_scalar(c))
-}
-
-/// AVX2 specialisation: the whole across-window loop is compiled with
-/// AVX2 enabled so the vector mixing kernel inlines into it. Safe
-/// `#[target_feature]` fn: the dispatcher wraps the call in `unsafe`
-/// after runtime detection; the draw closure inherits this fn's AVX2
-/// context, so the pair-draw call needs no `unsafe` of its own.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn mac_indexed_x4_avx2(a: &MacX4Args<'_>) -> ([f64; LANES], [f64; LANES]) {
-    mac_indexed_x4_body(a, |q, c| q.gaussian_pair_at_avx2(c))
-}
-
-/// AVX-512 specialisation (see [`mac_indexed_x4_avx2`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512dq,avx512vl")]
-fn mac_indexed_x4_avx512(a: &MacX4Args<'_>) -> ([f64; LANES], [f64; LANES]) {
-    mac_indexed_x4_body(a, |q, c| q.gaussian_pair_at_avx512(c))
-}
-
-/// Tier dispatch for the across-window MAC: one cached-tier check per
-/// window quad, then a fully-inlined specialised loop. Every tier
-/// returns identical bits (integer mixing is exact; the floating-point
-/// pipeline is the same code in each specialisation).
-fn mac_indexed_x4_core(a: &MacX4Args<'_>) -> ([f64; LANES], [f64; LANES]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        use oisa_device::simd::Tier;
-        match oisa_device::simd::tier() {
-            // SAFETY: the tier is only reported after the matching
-            // target features were runtime-detected on this CPU.
-            Tier::Avx512 => return unsafe { mac_indexed_x4_avx512(a) },
-            Tier::Avx2 => return unsafe { mac_indexed_x4_avx2(a) },
-            Tier::Scalar => {}
-        }
-    }
-    mac_indexed_x4_scalar(a)
 }
 
 #[cfg(test)]

@@ -41,11 +41,6 @@
 //! # }
 //! ```
 
-// The only sanctioned unsafe in the tree lives here, and every unsafe
-// operation inside an `unsafe fn` must be its own block with its own
-// `// SAFETY:` comment (enforced mechanically by `oisa-lint`).
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod arm;
 pub mod bank;
 pub mod fault;

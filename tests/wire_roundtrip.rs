@@ -8,8 +8,8 @@ use oisa::core::accelerator::EnergyReport;
 use oisa::core::controller::Timeline;
 use oisa::core::program::{ActivationKind, LayerProgram, QuantizeKind, Stage};
 use oisa::core::wire::{
-    self, FabricEntry, Handshake, InferenceJob, JobShard, ProgramJob, ProgramShard, RefusalCode,
-    ShardRefusal, ShardReport, WireError, WireMessage, LEGACY_SCHEMA_VERSION, SCHEMA_VERSION,
+    self, FabricEntry, Handshake, JobShard, ProgramShard, RefusalCode, ShardRefusal, ShardReport,
+    WireError, WireMessage, LEGACY_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 use oisa::core::{ConvolutionReport, MappingPlan};
 use oisa::sensor::Frame;
@@ -73,10 +73,10 @@ fn report_from(out_h: usize, out_w: usize, maps: usize, floats: &[f64]) -> Convo
 }
 
 proptest! {
-    /// `InferenceJob` encode → decode is lossless for arbitrary
-    /// shapes, kernel weights and pixel values.
+    /// A `JobShard`'s kernels and frames encode → decode losslessly
+    /// for arbitrary shapes, kernel weights and pixel values.
     #[test]
-    fn inference_job_roundtrip_is_lossless(
+    fn shard_payload_roundtrip_is_lossless(
         job_id in 0u64..u64::MAX,
         // width 1–11 × height 1–11, packed into one sample so the shim
         // reporter's tuple stays within `Debug`'s 12-element cap.
@@ -87,17 +87,23 @@ proptest! {
         weights in prop::collection::vec(-4.0f32..4.0, 18),
     ) {
         let (width, height) = (dims % 11 + 1, dims / 11 + 1);
-        let job = InferenceJob {
+        let shard = JobShard {
             job_id,
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: 0,
+            config_fingerprint: job_id ^ 0x1234,
+            entry: FabricEntry::Cold,
             k: 3,
             kernels: kernels_from(nkernels, 3, &weights),
             frames: (0..nframes)
                 .map(|i| frame_from(width, height, &pixels[i % 8..]))
                 .collect(),
         };
-        let bytes = wire::encode(&WireMessage::Job(job.clone()));
+        let bytes = wire::encode(&WireMessage::Shard(shard.clone()));
         let decoded = wire::decode(&bytes);
-        prop_assert_eq!(decoded, Ok(WireMessage::Job(job)));
+        prop_assert_eq!(decoded, Ok(WireMessage::Shard(shard)));
     }
 
     /// `ShardReport` (with full `ConvolutionReport`s inside) and
@@ -106,7 +112,7 @@ proptest! {
     fn shard_messages_roundtrip_is_lossless(
         job_id in 0u64..u64::MAX,
         // out_h 1–8 × out_w 1–8 × maps 1–3 × shard_index 0–63, packed
-        // (see `inference_job_roundtrip_is_lossless`).
+        // (see `shard_payload_roundtrip_is_lossless`).
         shape in 0usize..(8 * 8 * 3 * 64),
         floats in prop::collection::vec(-1.0e-3f64..1.0e-3, 24),
         weights in prop::collection::vec(-2.0f32..2.0, 27),
@@ -147,14 +153,14 @@ proptest! {
         prop_assert_eq!(wire::decode(&bytes), Ok(WireMessage::Shard(shard)));
     }
 
-    /// The v4 layer-program messages (`ProgramJob`, `ProgramShard`)
-    /// round-trip bit-exactly, covering every stage kind the schema
-    /// can carry (conv, both quantisers, dense, activation).
+    /// The v4 `ProgramShard` round-trips bit-exactly, covering every
+    /// stage kind the schema can carry (conv, both quantisers, dense,
+    /// activation).
     #[test]
     fn program_messages_roundtrip_is_lossless(
         job_id in 0u64..u64::MAX,
         // shard_index 0–63 × bits 1–8 × nframes 1–3, packed (see
-        // `inference_job_roundtrip_is_lossless`).
+        // `shard_payload_roundtrip_is_lossless`).
         packed in 0usize..(64 * 8 * 3),
         weights in prop::collection::vec(-2.0f32..2.0, 27),
         matrix in prop::collection::vec(-1.0f32..1.0, 12),
@@ -174,10 +180,6 @@ proptest! {
         let frames: Vec<Frame> = (0..nframes)
             .map(|i| frame_from(5, 5, &pixels[i % 8..]))
             .collect();
-        let job = ProgramJob { job_id, program: program.clone(), frames: frames.clone() };
-        let bytes = wire::encode(&WireMessage::ProgramJob(job.clone()));
-        prop_assert_eq!(wire::decode(&bytes), Ok(WireMessage::ProgramJob(job)));
-
         let shard = ProgramShard {
             job_id,
             shard_index,
@@ -203,7 +205,7 @@ proptest! {
         job_id in 0u64..u64::MAX,
         // shard_index 0–999 × mismatch × reason length 0–63, packed so
         // the shim reporter's tuple stays within `Debug`'s 12-element
-        // cap (see `inference_job_roundtrip_is_lossless`).
+        // cap (see `shard_payload_roundtrip_is_lossless`).
         packed in 0usize..(1000 * 2 * 64),
     ) {
         let shard_index = (packed % 1000) as u32;
@@ -249,13 +251,19 @@ proptest! {
         // v4 decoders accept every stamp in the legacy..=current
         // range, so only versions outside it are "unknown".
         prop_assume!(!(LEGACY_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version));
-        let job = InferenceJob {
+        let shard = JobShard {
             job_id,
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: 0,
+            config_fingerprint: 0,
+            entry: FabricEntry::Cold,
             k: 3,
             kernels: kernels_from(1, 3, &[0.5, -0.5]),
             frames: vec![frame_from(4, 4, &pixels)],
         };
-        let bytes = wire::encode(&WireMessage::Job(job));
+        let bytes = wire::encode(&WireMessage::Shard(shard));
 
         // Unknown schema version.
         let mut versioned = bytes.clone();
