@@ -62,27 +62,31 @@
 //!
 //! [`ComputeBackend::run_program`] (wire v4) runs a multi-stage
 //! [`crate::program::LayerProgram`] — `conv → quantize → dense →
-//! activation` — through the same machinery. The determinism story is
-//! *simpler* than the conv-job one:
+//! activation`. The coordinator has one path for both job kinds:
+//! validation, planning, dispatch, settling, recovery and the merge are
+//! shared, and a job kind decides only four things —
 //!
-//! * **Epochs** — a program consumes
-//!   [`epochs_per_frame`](crate::program::LayerProgram::epochs_per_frame)
-//!   (one per optical stage) per frame, so a shard starting at job
-//!   frame `i` carries `first_epoch = base + i · E`.
-//! * **Entry state** — there is no [`FabricEntry`] on a
-//!   [`ProgramShard`]: every executor (local or worker) runs
-//!   [`prewarm_program`](crate::program) once, which stages the
-//!   program's own steady state regardless of fabric history. Ring
-//!   state after a load depends only on that load's weights, so
-//!   per-frame reports are history-independent by construction and
-//!   shard merges are bit-identical to the sequential reference
+//! * **Shard message** — a conv range travels as a [`JobShard`] with a
+//!   [`FabricEntry`]; a program range as a [`ProgramShard`], which
+//!   carries none: every executor (local or worker) runs
+//!   [`prewarm_program`](crate::program) once, staging the program's
+//!   own steady state regardless of fabric history, so per-frame
+//!   reports are history-independent by construction and shard merges
+//!   are bit-identical to the sequential reference
 //!   ([`crate::program::run_reference`]) over any fleet shape.
-//! * **Cross-job staging** — after a program job, the coordinator's
-//!   `last_staged` records the program's kernel set only when the
-//!   program is pure conv (its dense stages, if any, re-tune arms the
-//!   conv entry-state protocol does not model); otherwise the next
-//!   conv job enters [`FabricEntry::Cold`]. This is the same one-job-
-//!   deep energy caveat as above — feature maps stay exact either way.
+//! * **Reply** — a [`ShardReport`] settles a conv shard, a
+//!   [`ProgramReport`] a program shard; anything else is a typed error.
+//! * **Epochs** — a conv job consumes one epoch per frame, a program
+//!   [`epochs_per_frame`](crate::program::LayerProgram::epochs_per_frame)
+//!   (one per optical stage), so a shard starting at job frame `i`
+//!   carries `first_epoch = base + i · E`.
+//! * **Cross-job staging** — after a conv job the coordinator's
+//!   `last_staged` holds its kernel set. After a program it holds the
+//!   program's kernel set only when the program is pure conv (its dense
+//!   stages, if any, re-tune arms the conv entry-state protocol does
+//!   not model); otherwise the next conv job enters
+//!   [`FabricEntry::Cold`]. This is the same one-job-deep energy caveat
+//!   as above — feature maps stay exact either way.
 
 use std::io::{Read, Write};
 
@@ -95,6 +99,7 @@ use crate::wire::{
     RefusalCode, ShardRefusal, ShardReport, WireMessage,
 };
 use crate::CoreError;
+use oisa_sensor::frame::Frame;
 
 pub mod supervisor;
 pub mod tcp;
@@ -154,8 +159,9 @@ pub trait ComputeBackend: Send {
 
     /// Executes one multi-stage [`ProgramJob`] (wire v4), returning one
     /// [`ProgramFrameReport`] per frame in frame order. Same
-    /// determinism contract as [`ComputeBackend::run_job`], with the
-    /// program semantics of the module docs.
+    /// determinism contract as [`ComputeBackend::run_job`]; the built-in
+    /// backends run both through one path, and the module docs ("Layer
+    /// programs") list the four things a program decides differently.
     ///
     /// The provided implementation refuses: a backend must opt in to
     /// programs, so pre-v4 test doubles and transports keep compiling
@@ -281,7 +287,7 @@ impl ComputeBackend for LocalBackend {
     /// history-independent, matching the sequential reference and any
     /// sharded merge), then a per-frame loop.
     fn run_program(&mut self, job: &ProgramJob) -> BackendResult<Vec<ProgramFrameReport>> {
-        validate_program_job(self, job)?;
+        validate_job(self, job)?;
         self.accel.prewarm_program(&job.program)?;
         job.frames
             .iter()
@@ -294,20 +300,17 @@ impl ComputeBackend for LocalBackend {
     }
 }
 
-/// Validation shared by every program-capable backend: frames present
-/// and imager-sized, program structurally valid and shape-compatible
-/// with the frame dimensions ([`crate::program::LayerProgram::output_lens`]).
-fn validate_program_job(backend: &dyn ComputeBackend, job: &ProgramJob) -> BackendResult<()> {
-    if job.frames.is_empty() {
+/// Admission checks for a job of either kind: frames present, the
+/// kind's own stage check ([`JobKind::check_stages`]), every frame
+/// imager-sized.
+fn validate_job<J: JobKind>(backend: &dyn ComputeBackend, job: &J) -> BackendResult<()> {
+    if job.frames().is_empty() {
         return Err(CoreError::InvalidParameter("no frames supplied".into()).into());
     }
+    job.check_stages(backend)?;
     let (width, height) = backend.frame_dims();
-    job.program.output_lens(width, height)?;
-    if let Some(Stage::Conv { k, kernels }) = job.program.stages.first() {
-        backend.check_workload(kernels, *k)?;
-    }
     if let Some(frame) = job
-        .frames
+        .frames()
         .iter()
         .find(|f| f.width() != width || f.height() != height)
     {
@@ -338,15 +341,7 @@ fn validate_program_job(backend: &dyn ComputeBackend, job: &ProgramJob) -> Backe
 /// [`OisaError::FingerprintMismatch`] on a fingerprint mismatch;
 /// otherwise the accelerator's own validation/substrate errors.
 pub fn execute_shard(config: &OisaConfig, shard: &JobShard) -> BackendResult<ShardReport> {
-    let expected = config.fingerprint();
-    if shard.config_fingerprint != expected {
-        return Err(OisaError::FingerprintMismatch {
-            coordinator: shard.config_fingerprint,
-            worker: expected,
-        });
-    }
-    let mut accel = OisaAccelerator::new(*config)?;
-    accel.align_noise_epoch(shard.first_epoch)?;
+    let mut accel = fresh_accelerator(config, shard.config_fingerprint, shard.first_epoch)?;
     match &shard.entry {
         FabricEntry::Cold => {}
         FabricEntry::WarmSelf => accel.prewarm(&shard.kernels, shard.k)?,
@@ -378,15 +373,7 @@ pub fn execute_program_shard(
     config: &OisaConfig,
     shard: &ProgramShard,
 ) -> BackendResult<ProgramReport> {
-    let expected = config.fingerprint();
-    if shard.config_fingerprint != expected {
-        return Err(OisaError::FingerprintMismatch {
-            coordinator: shard.config_fingerprint,
-            worker: expected,
-        });
-    }
-    let mut accel = OisaAccelerator::new(*config)?;
-    accel.align_noise_epoch(shard.first_epoch)?;
+    let mut accel = fresh_accelerator(config, shard.config_fingerprint, shard.first_epoch)?;
     accel.prewarm_program(&shard.program)?;
     let reports = shard
         .frames
@@ -401,10 +388,30 @@ pub fn execute_program_shard(
     })
 }
 
+/// The prologue [`execute_shard`] and [`execute_program_shard`] share:
+/// refuse a coordinator whose physics differ, then build a fresh
+/// accelerator aligned to the shard's first noise epoch.
+fn fresh_accelerator(
+    config: &OisaConfig,
+    coordinator: u64,
+    first_epoch: u64,
+) -> BackendResult<OisaAccelerator> {
+    let worker = config.fingerprint();
+    if coordinator != worker {
+        return Err(OisaError::FingerprintMismatch {
+            coordinator,
+            worker,
+        });
+    }
+    let mut accel = OisaAccelerator::new(*config)?;
+    accel.align_noise_epoch(first_epoch)?;
+    Ok(accel)
+}
+
 /// Serves shards from a byte stream until clean EOF: the main loop of
-/// a worker process. Each incoming [`JobShard`] is answered with a
-/// [`ShardReport`] on success or a typed [`ShardRefusal`] (never a
-/// dropped connection) when the shard cannot run; a
+/// a worker process. Each incoming [`JobShard`] or [`ProgramShard`] is
+/// answered with its report on success or a typed [`ShardRefusal`]
+/// (never a dropped connection) when the shard cannot run; a
 /// [`WireMessage::Ping`] is answered with a [`WireMessage::Pong`]
 /// echoing the nonce and carrying this worker's config fingerprint.
 ///
@@ -420,25 +427,7 @@ pub fn serve_worker<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
 ) -> BackendResult<u64> {
-    serve_worker_hooked(config, reader, writer, &mut |_| {})
-}
-
-/// [`serve_worker`] with a fault-injection hook: `before_shard` runs
-/// after a shard decodes and before it executes, receiving the count of
-/// shards this call already answered. The `oisa_worker` daemon's
-/// `--fail-after-shards` flag aborts the process from this hook to
-/// simulate a worker dying mid-job; production paths pass a no-op.
-///
-/// # Errors
-///
-/// As [`serve_worker`].
-pub fn serve_worker_hooked<R: Read, W: Write>(
-    config: &OisaConfig,
-    reader: &mut R,
-    writer: &mut W,
-    before_shard: &mut dyn FnMut(u64),
-) -> BackendResult<u64> {
-    serve_worker_configurable(*config, reader, writer, before_shard).map(|o| o.served)
+    serve_worker_configurable(*config, reader, writer, &mut |_| {}).map(|o| o.served)
 }
 
 /// What a worker connection did over its lifetime — returned by
@@ -463,6 +452,12 @@ pub struct ServeOutcome {
 /// (which [`TcpTransport`] does automatically when
 /// built with a config push).
 ///
+/// `before_shard` is a fault-injection hook: it runs after a shard
+/// decodes and before it executes, receiving the count of shards this
+/// call already answered. The `oisa_worker` daemon's
+/// `--fail-after-shards` flag aborts the process from it to simulate a
+/// worker dying mid-job; production paths pass a no-op.
+///
 /// # Errors
 ///
 /// As [`serve_worker`].
@@ -478,32 +473,6 @@ pub fn serve_worker_configurable<R: Read, W: Write>(
     let mut reconfigured = 0u64;
     while let Some(payload) = wire::read_frame(reader)? {
         let reply = match wire::decode(&payload) {
-            Ok(WireMessage::Shard(shard)) => {
-                before_shard(shards);
-                shards += 1;
-                match execute_shard(&config, &shard) {
-                    Ok(report) => WireMessage::Report(report),
-                    Err(e) => WireMessage::Refusal(ShardRefusal {
-                        job_id: shard.job_id,
-                        shard_index: shard.shard_index,
-                        code: refusal_code_for(&e),
-                        reason: e.to_string(),
-                    }),
-                }
-            }
-            Ok(WireMessage::ProgramShard(shard)) => {
-                before_shard(shards);
-                shards += 1;
-                match execute_program_shard(&config, &shard) {
-                    Ok(report) => WireMessage::ProgramReport(report),
-                    Err(e) => WireMessage::Refusal(ShardRefusal {
-                        job_id: shard.job_id,
-                        shard_index: shard.shard_index,
-                        code: refusal_code_for(&e),
-                        reason: e.to_string(),
-                    }),
-                }
-            }
             Ok(WireMessage::Ping(hs)) => WireMessage::Pong(wire::Handshake {
                 nonce: hs.nonce,
                 config_fingerprint: config.fingerprint(),
@@ -516,12 +485,16 @@ pub fn serve_worker_configurable<R: Read, W: Write>(
                     config_fingerprint: config.fingerprint(),
                 })
             }
-            Ok(other) => WireMessage::Refusal(ShardRefusal {
-                job_id: 0,
-                shard_index: 0,
-                code: RefusalCode::Other,
-                reason: format!("worker expected a JobShard, got {}", message_name(&other)),
-            }),
+            Ok(request) => {
+                if matches!(
+                    request,
+                    WireMessage::Shard(_) | WireMessage::ProgramShard(_)
+                ) {
+                    before_shard(shards);
+                    shards += 1;
+                }
+                answer_shard(&config, &request)
+            }
             Err(e) => WireMessage::Refusal(ShardRefusal {
                 job_id: 0,
                 shard_index: 0,
@@ -539,6 +512,40 @@ pub fn serve_worker_configurable<R: Read, W: Write>(
         served,
         reconfigured,
         final_fingerprint: config.fingerprint(),
+    })
+}
+
+/// Runs a shard request of either kind and answers with its report, or
+/// with the typed refusal when it cannot run; any other message is
+/// refused.
+fn answer_shard(config: &OisaConfig, request: &WireMessage) -> WireMessage {
+    let (job_id, shard_index, outcome) = match request {
+        WireMessage::Shard(shard) => (
+            shard.job_id,
+            shard.shard_index,
+            execute_shard(config, shard).map(WireMessage::Report),
+        ),
+        WireMessage::ProgramShard(shard) => (
+            shard.job_id,
+            shard.shard_index,
+            execute_program_shard(config, shard).map(WireMessage::ProgramReport),
+        ),
+        other => (
+            0,
+            0,
+            Err(OisaError::Backend(format!(
+                "worker expected a shard, got {}",
+                message_name(other)
+            ))),
+        ),
+    };
+    outcome.unwrap_or_else(|e| {
+        WireMessage::Refusal(ShardRefusal {
+            job_id,
+            shard_index,
+            code: refusal_code_for(&e),
+            reason: e.to_string(),
+        })
     })
 }
 
@@ -692,7 +699,7 @@ pub struct ShardedBackend {
     /// The kernel set the fabric "holds" between jobs — what a
     /// sequential host's fabric would hold — so the next job's first
     /// shard can reproduce its entry-state tuning cost.
-    last_staged: Option<(usize, Vec<Vec<f32>>)>,
+    last_staged: Option<StagedKernels>,
     jobs_run: u64,
 }
 
@@ -800,12 +807,6 @@ impl ShardedBackend {
         Ok(self.workers.remove(index))
     }
 
-    /// Appends a worker to the fleet (e.g. a repaired endpoint
-    /// returning to duty).
-    pub fn add_worker(&mut self, transport: Box<dyn ShardTransport>) {
-        self.workers.push(transport);
-    }
-
     /// The [`ShardTransport::endpoint_label`] of worker `index`, or
     /// `None` when the index is out of range.
     #[must_use]
@@ -814,23 +815,23 @@ impl ShardedBackend {
     }
 
     /// Sends a [`WireMessage::Ping`] to worker `index` and verifies the
-    /// [`WireMessage::Pong`] echoes `nonce`; returns the fingerprint
-    /// the worker reported. This is the health probe
-    /// [`FleetSupervisor`] runs against idle
-    /// workers between jobs.
+    /// [`WireMessage::Pong`]: nonce echoed, fingerprint equal to the
+    /// coordinator's. This is the health probe [`FleetSupervisor`]
+    /// runs against idle workers between jobs.
     ///
     /// # Errors
     ///
     /// [`OisaError::Transport`] / transport failures from the round
-    /// trip; [`OisaError::Backend`] for an out-of-range index, a
-    /// non-Pong reply or a stale nonce.
-    pub fn ping_worker(&mut self, index: usize, nonce: u64) -> BackendResult<u64> {
-        let fleet = self.workers.len();
-        let fingerprint = self.fingerprint;
-        let worker = self.workers.get_mut(index).ok_or_else(|| {
-            OisaError::Backend(format!("no worker {index} to ping (fleet has {fleet})"))
-        })?;
-        probe_transport(worker.as_mut(), fingerprint, nonce)
+    /// trip; [`OisaError::FingerprintMismatch`] when the worker runs
+    /// other physics; [`OisaError::Backend`] for an out-of-range index,
+    /// a non-Pong reply or a stale nonce.
+    pub fn ping_worker(&mut self, index: usize, nonce: u64) -> BackendResult<()> {
+        let request = HandshakeRequest {
+            nonce,
+            fingerprint: self.fingerprint,
+            push: None,
+        };
+        request.run(self.worker_mut(index, "ping")?)
     }
 
     /// Pushes this coordinator's full [`OisaConfig`] to worker `index`
@@ -849,84 +850,24 @@ impl ShardedBackend {
     /// unexpected reply; [`OisaError::ShardRefused`] when the worker
     /// refused the push (e.g. a v2 peer that cannot decode it).
     pub fn push_config_to_worker(&mut self, index: usize, nonce: u64) -> BackendResult<()> {
+        let request = HandshakeRequest {
+            nonce,
+            fingerprint: self.fingerprint,
+            push: Some(self.config),
+        };
+        request.run(self.worker_mut(index, "configure")?)
+    }
+
+    /// Worker `index`, or a typed error naming `action` when out of
+    /// range.
+    fn worker_mut(&mut self, index: usize, action: &str) -> BackendResult<&mut dyn ShardTransport> {
         let fleet = self.workers.len();
-        let config = self.config;
-        let worker = self.workers.get_mut(index).ok_or_else(|| {
-            OisaError::Backend(format!(
-                "no worker {index} to configure (fleet has {fleet})"
-            ))
-        })?;
-        push_config_to_transport(worker.as_mut(), &config, nonce)
-    }
-
-    /// The fabric entry state a shard starting at job frame `start`
-    /// must carry (module docs, mechanism 2).
-    fn entry_for(&self, job: &InferenceJob, start: usize) -> FabricEntry {
-        if start == 0 {
-            match &self.last_staged {
-                None => FabricEntry::Cold,
-                Some((k, kernels)) if *k == job.k && *kernels == job.kernels => {
-                    FabricEntry::WarmSelf
-                }
-                Some((k, kernels)) => FabricEntry::Warm {
-                    k: *k,
-                    kernels: kernels.clone(),
-                },
-            }
-        } else {
-            FabricEntry::WarmSelf
+        match self.workers.get_mut(index) {
+            Some(worker) => Ok(worker.as_mut()),
+            None => Err(OisaError::Backend(format!(
+                "no worker {index} to {action} (fleet has {fleet})"
+            ))),
         }
-    }
-
-    /// Builds the shard messages of a failure-free job — exactly what
-    /// round one of [`ShardedBackend::run_job_with_recovery`]
-    /// dispatches (same [`shard_for_range`], same [`split_count`]) —
-    /// so tests can inspect the partitioning.
-    #[cfg(test)]
-    fn plan_shards(&self, job: &InferenceJob) -> Vec<JobShard> {
-        let n = job.frames.len();
-        let fleet = self.workers.len().min(n).max(1);
-        let splits = split_count(n, fleet);
-        let total = u32::try_from(splits.len()).expect("fleet fits u32");
-        let mut shards = Vec::with_capacity(splits.len());
-        let mut start = 0usize;
-        for (index, len) in splits.into_iter().enumerate() {
-            shards.push(shard_for_range(
-                job,
-                start,
-                len,
-                u32::try_from(index).expect("fleet fits u32"),
-                total,
-                self.next_epoch,
-                self.fingerprint,
-                self.entry_for(job, start),
-            ));
-            start += len;
-        }
-        shards
-    }
-
-    /// Validation shared by [`ComputeBackend::run_job`] and the
-    /// recovery path.
-    fn validate_job(&self, job: &InferenceJob) -> BackendResult<()> {
-        if job.frames.is_empty() {
-            return Err(CoreError::InvalidParameter("no frames supplied".into()).into());
-        }
-        self.check_workload(&job.kernels, job.k)?;
-        let (width, height) = self.frame_dims();
-        if let Some(frame) = job
-            .frames
-            .iter()
-            .find(|f| f.width() != width || f.height() != height)
-        {
-            return Err(CoreError::InvalidParameter(format!(
-                "frame is {}x{} but the imager is {width}x{height}",
-                frame.width(),
-                frame.height()
-            ))
-            .into());
-        }
-        Ok(())
     }
 
     /// Dispatches pre-encoded shard messages concurrently, message `i`
@@ -951,8 +892,10 @@ impl ShardedBackend {
         })
     }
 
-    /// [`ComputeBackend::run_job`] with a pluggable failure policy —
-    /// the re-plan path of the self-healing fleet.
+    /// Runs one job of either kind with a pluggable failure policy —
+    /// [`ComputeBackend::run_job`] and [`ComputeBackend::run_program`]
+    /// under [`Recovery::Abort`], and the re-plan path of the
+    /// self-healing fleet.
     ///
     /// Execution proceeds in rounds. Each round covers the not yet
     /// merged frame ranges with one shard per engaged worker and
@@ -973,132 +916,25 @@ impl ShardedBackend {
     /// **bit-identical** whatever sequence of failures, promotions and
     /// re-plans occurred. Non-transport failures (refusals, fingerprint
     /// mismatches, protocol faults) abort immediately — retrying them
-    /// cannot help. On error, no coordinator state advances, so the
-    /// whole job can be retried.
+    /// cannot help. Coordinator state (epoch cursor, staged kernel set,
+    /// job count) advances only after the merge, so a failed job
+    /// consumed nothing and can be retried.
     ///
     /// # Errors
     ///
     /// The aborting failure, or [`OisaError::Backend`] when the fleet
     /// is exhausted while frames remain.
-    pub fn run_job_with_recovery(
+    pub(crate) fn run_with_recovery<J: JobKind>(
         &mut self,
-        job: &InferenceJob,
+        job: &J,
         on_failure: &mut dyn FnMut(&str, &OisaError) -> Recovery,
-    ) -> BackendResult<Vec<ConvolutionReport>> {
-        self.validate_job(job)?;
-        let n = job.frames.len();
-        let next_epoch = self.next_epoch;
-        let fingerprint = self.fingerprint;
-        // Entry state is a function of *pre-job* coordinator state, so
-        // it is captured before the rounds (which may mutate the fleet
-        // but never the staging cursor).
-        let entry0 = self.entry_for(job, 0);
-        let job_id = job.job_id;
-        let merged = self.run_with_recovery_impl(
-            n,
-            &mut |start, len, index, count| {
-                let entry = if start == 0 {
-                    entry0.clone()
-                } else {
-                    FabricEntry::WarmSelf
-                };
-                wire::encode_shard(&shard_for_range(
-                    job,
-                    start,
-                    len,
-                    index,
-                    count,
-                    next_epoch,
-                    fingerprint,
-                    entry,
-                ))
-            },
-            &|start, len, index, payload| settle_shard_reply(job_id, start, len, index, payload),
-            on_failure,
-        )?;
-
-        // Only now does coordinator state advance: a failed job above
-        // consumed nothing, so a retry re-executes identically.
-        self.next_epoch += n as u64;
-        self.last_staged = Some((job.k, job.kernels.clone()));
-        self.jobs_run += 1;
-        Ok(merged)
-    }
-
-    /// [`ComputeBackend::run_program`] with the same pluggable failure
-    /// policy as [`ShardedBackend::run_job_with_recovery`] — programs
-    /// ride the identical round/re-plan/merge engine, they just carry
-    /// a [`ProgramShard`] and stride
-    /// [`epochs_per_frame`](crate::program::LayerProgram::epochs_per_frame)
-    /// epochs per frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedBackend::run_job_with_recovery`].
-    pub fn run_program_with_recovery(
-        &mut self,
-        job: &ProgramJob,
-        on_failure: &mut dyn FnMut(&str, &OisaError) -> Recovery,
-    ) -> BackendResult<Vec<ProgramFrameReport>> {
-        validate_program_job(self, job)?;
-        let n = job.frames.len();
-        let stride = job.program.epochs_per_frame();
-        let next_epoch = self.next_epoch;
-        let fingerprint = self.fingerprint;
-        let job_id = job.job_id;
-        let merged = self.run_with_recovery_impl(
-            n,
-            &mut |start, len, index, count| {
-                wire::encode_program_shard(&ProgramShard {
-                    job_id,
-                    shard_index: index,
-                    shard_count: count,
-                    first_frame: start as u64,
-                    first_epoch: next_epoch + start as u64 * stride,
-                    config_fingerprint: fingerprint,
-                    program: job.program.clone(),
-                    frames: job.frames[start..start + len].to_vec(),
-                })
-            },
-            &|start, len, index, payload| settle_program_reply(job_id, start, len, index, payload),
-            on_failure,
-        )?;
-
-        self.next_epoch += n as u64 * stride;
-        // A pure conv program leaves the fabric holding its kernel set
-        // exactly like a conv job would; dense stages re-tune arms the
-        // conv entry-state protocol does not model, so the next conv
-        // job enters cold (module docs, "Layer programs").
-        let has_dense = job
-            .program
-            .stages
-            .iter()
-            .any(|s| matches!(s, Stage::Dense { .. }));
-        self.last_staged = match job.program.stages.first() {
-            Some(Stage::Conv { k, kernels }) if !has_dense => Some((*k, kernels.clone())),
-            _ => None,
-        };
-        self.jobs_run += 1;
-        Ok(merged)
-    }
-
-    /// The shared round/re-plan/merge engine behind both recovery
-    /// entry points. `make_message` builds the encoded shard message
-    /// for the frame range `start..start + len` with the given shard
-    /// index/count; `settle` decodes and echo-checks one reply,
-    /// returning that range's per-frame reports. Advances **no**
-    /// coordinator state — callers commit their epoch/staging cursors
-    /// only after this returns `Ok`.
-    fn run_with_recovery_impl<Out>(
-        &mut self,
-        n: usize,
-        make_message: &mut dyn FnMut(usize, usize, u32, u32) -> Vec<u8>,
-        settle: SettleFn<'_, Out>,
-        on_failure: &mut dyn FnMut(&str, &OisaError) -> Recovery,
-    ) -> BackendResult<Vec<Out>> {
+    ) -> BackendResult<Vec<J::Output>> {
+        validate_job(self, job)?;
+        let n = job.frames().len();
+        let stride = job.epochs_per_frame();
         // Frame ranges not yet merged, kept sorted and disjoint.
         let mut pending: Vec<(usize, usize)> = vec![(0, n)];
-        let mut collected: Vec<(usize, Vec<Out>)> = Vec::new();
+        let mut collected: Vec<(usize, Vec<J::Output>)> = Vec::new();
         let mut shard_seq = 0u32;
         while !pending.is_empty() {
             // Cover the pending ranges with at most one shard per
@@ -1137,17 +973,26 @@ impl ShardedBackend {
                     .collect()
             };
             let dispatched = u32::try_from(round_ranges.len()).expect("fleet fits u32");
-            let round: Vec<(usize, usize, u32)> = round_ranges
-                .iter()
-                .map(|&(start, len)| {
-                    let index = shard_seq;
+            let round: Vec<ShardPlan> = round_ranges
+                .into_iter()
+                .map(|(start, len)| {
+                    let plan = ShardPlan {
+                        shard_index: shard_seq,
+                        shard_count: dispatched,
+                        start,
+                        len,
+                        first_epoch: self.next_epoch + start as u64 * stride,
+                        fingerprint: self.fingerprint,
+                    };
                     shard_seq += 1;
-                    (start, len, index)
+                    plan
                 })
                 .collect();
+            // Entry state is a function of *pre-job* coordinator state:
+            // the rounds may mutate the fleet, never `last_staged`.
             let messages: Vec<Vec<u8>> = round
                 .iter()
-                .map(|&(start, len, index)| make_message(start, len, index, dispatched))
+                .map(|plan| job.encode_shard(plan, self.last_staged.as_ref()))
                 .collect();
             let replies = self.dispatch_round(&messages);
 
@@ -1156,16 +1001,16 @@ impl ShardedBackend {
             // Failed slots are handled in descending index order so
             // removals cannot shift a slot that still needs handling.
             let mut failures: Vec<(usize, OisaError)> = Vec::new();
-            for (slot, (&(start, len, index), reply)) in round.iter().zip(replies).enumerate() {
-                match reply.and_then(|payload| settle(start, len, index, &payload)) {
-                    Ok(reports) => collected.push((start, reports)),
+            for (slot, (plan, reply)) in round.iter().zip(replies).enumerate() {
+                match reply.and_then(|payload| settle::<J>(job.job_id(), plan, &payload)) {
+                    Ok(reports) => collected.push((plan.start, reports)),
                     Err(e @ OisaError::Transport { .. }) => failures.push((slot, e)),
                     Err(other) => return Err(other),
                 }
             }
             let mut next_pending = leftover;
             for (slot, error) in failures.into_iter().rev() {
-                let (start, len, _) = round[slot];
+                let ShardPlan { start, len, .. } = round[slot];
                 let label = self.workers[slot].endpoint_label();
                 match on_failure(&label, &error) {
                     Recovery::Promote(spare) => {
@@ -1208,44 +1053,233 @@ impl ShardedBackend {
                 merged.len()
             )));
         }
+
+        // Only now does coordinator state advance.
+        self.next_epoch += n as u64 * stride;
+        self.last_staged = job.staged_after();
+        self.jobs_run += 1;
         Ok(merged)
     }
 }
 
-/// Builds one shard covering job frames `start..start + len`. Shard
+/// One shard as the planner fixed it: job frames `start..start + len`
+/// and the header fields every job kind's shard message carries. Shard
 /// boundaries never affect results (module docs), so *any* contiguous
-/// cover of the job's frames merges bit-identically — the invariant
-/// the re-plan path stands on. A free function (not a method) because
-/// the recovery loop's planner closure runs while the loop mutates the
-/// fleet; coordinator state enters as explicit values.
-#[allow(clippy::too_many_arguments)]
-fn shard_for_range(
-    job: &InferenceJob,
-    start: usize,
-    len: usize,
+/// cover of a job's frames merges bit-identically — the invariant the
+/// re-plan path stands on.
+pub(crate) struct ShardPlan {
     shard_index: u32,
     shard_count: u32,
-    next_epoch: u64,
+    start: usize,
+    len: usize,
+    first_epoch: u64,
     fingerprint: u64,
-    entry: FabricEntry,
-) -> JobShard {
-    JobShard {
-        job_id: job.job_id,
-        shard_index,
-        shard_count,
-        first_frame: start as u64,
-        first_epoch: next_epoch + start as u64,
-        config_fingerprint: fingerprint,
-        entry,
-        k: job.k,
-        kernels: job.kernels.clone(),
-        frames: job.frames[start..start + len].to_vec(),
+}
+
+/// The kernel set the fabric holds between jobs: `(k, kernels)`.
+type StagedKernels = (usize, Vec<Vec<f32>>);
+
+/// The fields a shard report echoes: `(job_id, shard_index,
+/// first_frame)`.
+type Echo = (u64, u32, u64);
+
+/// What the coordinator's one path needs to know about a job kind
+/// (module docs, "Layer programs"): the shard message a range encodes
+/// to, the reply variant that settles it, the epochs per frame and what
+/// the fabric holds afterwards. Validation, planning, dispatch,
+/// settling, recovery and the merge are shared.
+pub(crate) trait JobKind {
+    /// The per-frame report the merge concatenates.
+    type Output;
+
+    /// The job identifier every reply must echo.
+    fn job_id(&self) -> u64;
+
+    /// The job's frames, in stream order.
+    fn frames(&self) -> &[Frame];
+
+    /// The kind's own admission check on top of [`validate_job`]'s
+    /// frame checks.
+    fn check_stages(&self, backend: &dyn ComputeBackend) -> BackendResult<()>;
+
+    /// Noise epochs one frame consumes.
+    fn epochs_per_frame(&self) -> u64;
+
+    /// Encodes the shard message for `plan`; `staged` is what the fabric
+    /// held before this job.
+    fn encode_shard(&self, plan: &ShardPlan, staged: Option<&StagedKernels>) -> Vec<u8>;
+
+    /// This kind's report split into its echo fields and per-frame
+    /// reports; `None` when the reply is another message.
+    fn take_report(reply: WireMessage) -> Option<(Echo, Vec<Self::Output>)>;
+
+    /// What the fabric holds after this job ran.
+    fn staged_after(&self) -> Option<StagedKernels>;
+}
+
+impl JobKind for InferenceJob {
+    type Output = ConvolutionReport;
+
+    fn job_id(&self) -> u64 {
+        self.job_id
+    }
+
+    fn frames(&self) -> &[Frame] {
+        &self.frames
+    }
+
+    fn check_stages(&self, backend: &dyn ComputeBackend) -> BackendResult<()> {
+        backend.check_workload(&self.kernels, self.k)
+    }
+
+    fn epochs_per_frame(&self) -> u64 {
+        1
+    }
+
+    /// A [`JobShard`] whose [`FabricEntry`] reproduces the fabric a
+    /// sequential host would hold at the range's first frame (module
+    /// docs, mechanism 2).
+    fn encode_shard(&self, plan: &ShardPlan, staged: Option<&StagedKernels>) -> Vec<u8> {
+        let entry = match staged {
+            _ if plan.start > 0 => FabricEntry::WarmSelf,
+            None => FabricEntry::Cold,
+            Some((k, kernels)) if *k == self.k && *kernels == self.kernels => FabricEntry::WarmSelf,
+            Some((k, kernels)) => FabricEntry::Warm {
+                k: *k,
+                kernels: kernels.clone(),
+            },
+        };
+        wire::encode_shard(&JobShard {
+            job_id: self.job_id,
+            shard_index: plan.shard_index,
+            shard_count: plan.shard_count,
+            first_frame: plan.start as u64,
+            first_epoch: plan.first_epoch,
+            config_fingerprint: plan.fingerprint,
+            entry,
+            k: self.k,
+            kernels: self.kernels.clone(),
+            frames: self.frames[plan.start..plan.start + plan.len].to_vec(),
+        })
+    }
+
+    fn take_report(reply: WireMessage) -> Option<(Echo, Vec<Self::Output>)> {
+        match reply {
+            WireMessage::Report(r) => Some(((r.job_id, r.shard_index, r.first_frame), r.reports)),
+            _ => None,
+        }
+    }
+
+    fn staged_after(&self) -> Option<StagedKernels> {
+        Some((self.k, self.kernels.clone()))
     }
 }
 
-/// How [`ShardedBackend::run_job_with_recovery`] reacts to a worker
-/// whose transport failed.
-pub enum Recovery {
+impl JobKind for ProgramJob {
+    type Output = ProgramFrameReport;
+
+    fn job_id(&self) -> u64 {
+        self.job_id
+    }
+
+    fn frames(&self) -> &[Frame] {
+        &self.frames
+    }
+
+    /// The program chains shape-compatibly from the frame dimensions
+    /// ([`crate::program::LayerProgram::output_lens`]) and its conv
+    /// stage maps onto the OPC.
+    fn check_stages(&self, backend: &dyn ComputeBackend) -> BackendResult<()> {
+        let (width, height) = backend.frame_dims();
+        self.program.output_lens(width, height)?;
+        if let Some(Stage::Conv { k, kernels }) = self.program.stages.first() {
+            backend.check_workload(kernels, *k)?;
+        }
+        Ok(())
+    }
+
+    fn epochs_per_frame(&self) -> u64 {
+        self.program.epochs_per_frame()
+    }
+
+    fn encode_shard(&self, plan: &ShardPlan, _staged: Option<&StagedKernels>) -> Vec<u8> {
+        wire::encode_program_shard(&ProgramShard {
+            job_id: self.job_id,
+            shard_index: plan.shard_index,
+            shard_count: plan.shard_count,
+            first_frame: plan.start as u64,
+            first_epoch: plan.first_epoch,
+            config_fingerprint: plan.fingerprint,
+            program: self.program.clone(),
+            frames: self.frames[plan.start..plan.start + plan.len].to_vec(),
+        })
+    }
+
+    fn take_report(reply: WireMessage) -> Option<(Echo, Vec<Self::Output>)> {
+        match reply {
+            WireMessage::ProgramReport(r) => {
+                Some(((r.job_id, r.shard_index, r.first_frame), r.reports))
+            }
+            _ => None,
+        }
+    }
+
+    /// A pure conv program leaves the fabric holding its kernel set
+    /// exactly like a conv job would; dense stages re-tune arms the
+    /// conv entry-state protocol does not model, so the next conv job
+    /// enters cold.
+    fn staged_after(&self) -> Option<StagedKernels> {
+        let has_dense = self
+            .program
+            .stages
+            .iter()
+            .any(|s| matches!(s, Stage::Dense { .. }));
+        match self.program.stages.first() {
+            Some(Stage::Conv { k, kernels }) if !has_dense => Some((*k, kernels.clone())),
+            _ => None,
+        }
+    }
+}
+
+/// Settles one reply for the planned shard: decodes it, maps a refusal
+/// to its typed error and checks every echo field against the plan, so
+/// a misrouted or stale reply cannot silently corrupt the merge.
+fn settle<J: JobKind>(
+    job_id: u64,
+    plan: &ShardPlan,
+    payload: &[u8],
+) -> BackendResult<Vec<J::Output>> {
+    let shard_index = plan.shard_index;
+    let ((got_job, got_index, got_first), reports) = match wire::decode(payload)? {
+        WireMessage::Refusal(refusal) => return Err(refusal_to_error(refusal)),
+        reply => {
+            let name = message_name(&reply);
+            J::take_report(reply).ok_or_else(|| {
+                OisaError::Backend(format!("worker answered shard {shard_index} with a {name}"))
+            })?
+        }
+    };
+    let first_frame = plan.start as u64;
+    if (got_job, got_index, got_first) != (job_id, shard_index, first_frame) {
+        return Err(OisaError::Backend(format!(
+            "shard reply mismatch: expected job {job_id} shard {shard_index} \
+             first_frame {first_frame}, \
+             got job {got_job} shard {got_index} first_frame {got_first}"
+        )));
+    }
+    if reports.len() != plan.len {
+        return Err(OisaError::Backend(format!(
+            "shard {shard_index} returned {} reports for {} frames",
+            reports.len(),
+            plan.len
+        )));
+    }
+    Ok(reports)
+}
+
+/// How [`ShardedBackend::run_with_recovery`] reacts to a worker whose
+/// transport failed.
+pub(crate) enum Recovery {
     /// Swap the failed slot for this transport (a promoted spare) and
     /// re-run the failed range on the repaired fleet.
     Promote(Box<dyn ShardTransport>),
@@ -1254,16 +1288,6 @@ pub enum Recovery {
     Shrink,
     /// Propagate the failure to the caller.
     Abort,
-}
-
-impl std::fmt::Debug for Recovery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Promote(_) => f.write_str("Promote(..)"),
-            Self::Shrink => f.write_str("Shrink"),
-            Self::Abort => f.write_str("Abort"),
-        }
-    }
 }
 
 /// Splits `n` items into `parts` contiguous counts, largest first —
@@ -1275,171 +1299,95 @@ fn split_count(n: usize, parts: usize) -> Vec<usize> {
     (0..parts).map(|i| base + usize::from(i < extra)).collect()
 }
 
-/// The [`WireMessage::Ping`]/[`WireMessage::Pong`] liveness probe over
-/// any [`ShardTransport`]: verifies the nonce echo and returns the
-/// fingerprint the worker reported. [`ShardedBackend::ping_worker`]
-/// and the supervisor's spare-admission check both run through here.
-///
-/// # Errors
-///
-/// Transport failures from the round trip; [`OisaError::Backend`] for
-/// a non-Pong reply or a stale nonce.
-pub(crate) fn probe_transport(
-    worker: &mut dyn ShardTransport,
-    fingerprint: u64,
-    nonce: u64,
-) -> BackendResult<u64> {
-    let ping = wire::encode(&WireMessage::Ping(wire::Handshake {
-        nonce,
-        config_fingerprint: fingerprint,
-    }));
-    let reply = worker.round_trip(&ping)?;
-    match wire::decode(&reply)? {
-        WireMessage::Pong(pong) if pong.nonce == nonce => Ok(pong.config_fingerprint),
-        WireMessage::Pong(pong) => Err(OisaError::Backend(format!(
-            "worker answered the ping with a stale nonce ({} ≠ {nonce})",
-            pong.nonce
-        ))),
-        other => Err(OisaError::Backend(format!(
-            "worker answered the ping with a {}",
-            message_name(&other)
-        ))),
-    }
+/// One connection-opening exchange as the coordinator sends it: a
+/// [`WireMessage::Ping`] offering `fingerprint`, or — with `push` set —
+/// a wire-v3 [`WireMessage::Configure`] the worker adopts. `fingerprint`
+/// is the coordinator's, so it equals `push`'s when pushing. The health
+/// probe, config pushes, spare admission and the TCP connect handshake
+/// all send one of these and check the reply through
+/// [`HandshakeRequest::check`].
+pub(crate) struct HandshakeRequest {
+    pub(crate) nonce: u64,
+    pub(crate) fingerprint: u64,
+    pub(crate) push: Option<OisaConfig>,
 }
 
-/// The wire-v3 [`WireMessage::Configure`] push over any
-/// [`ShardTransport`]: sends `config` in full and verifies the
-/// [`WireMessage::ConfigureAck`] echoes `nonce` and acknowledges the
-/// fingerprint of the *applied* config.
-///
-/// # Errors
-///
-/// Transport failures from the round trip;
-/// [`OisaError::FingerprintMismatch`] when the acknowledged
-/// fingerprint differs (the worker did not apply the push);
-/// [`OisaError::ShardRefused`] when the worker refused it (e.g. a v2
-/// peer that cannot decode a Configure); [`OisaError::Backend`] for
-/// any other reply.
-pub(crate) fn push_config_to_transport(
-    worker: &mut dyn ShardTransport,
-    config: &OisaConfig,
-    nonce: u64,
-) -> BackendResult<()> {
-    let fingerprint = config.fingerprint();
-    let push = wire::encode(&WireMessage::Configure(wire::ConfigPush {
-        nonce,
-        config: *config,
-    }));
-    let reply = worker.round_trip(&push)?;
-    match wire::decode(&reply)? {
-        WireMessage::ConfigureAck(ack) if ack.nonce != nonce => Err(OisaError::Backend(format!(
-            "worker acknowledged the config push with a stale nonce ({} ≠ {nonce})",
-            ack.nonce
-        ))),
-        WireMessage::ConfigureAck(ack) if ack.config_fingerprint != fingerprint => {
-            Err(OisaError::FingerprintMismatch {
-                coordinator: fingerprint,
-                worker: ack.config_fingerprint,
-            })
+/// How a worker answered a [`HandshakeRequest`].
+pub(crate) enum HandshakeVerdict {
+    /// The right reply, the nonce echoed, the coordinator's fingerprint
+    /// reported (for a push: applied).
+    Agreed,
+    /// The reply echoed another nonce — an answer to an older request.
+    /// A transport that can reconnect retries; others report it.
+    Stale(String),
+    /// A refusal, a mismatched fingerprint or the wrong reply.
+    Failed(OisaError),
+}
+
+impl HandshakeRequest {
+    /// The wire message this exchange sends.
+    pub(crate) fn message(&self) -> WireMessage {
+        match self.push {
+            Some(config) => WireMessage::Configure(wire::ConfigPush {
+                nonce: self.nonce,
+                config,
+            }),
+            None => WireMessage::Ping(wire::Handshake {
+                nonce: self.nonce,
+                config_fingerprint: self.fingerprint,
+            }),
         }
-        WireMessage::ConfigureAck(_) => Ok(()),
-        WireMessage::Refusal(refusal) => Err(refusal_to_error(refusal)),
-        other => Err(OisaError::Backend(format!(
-            "worker answered the config push with a {}",
-            message_name(&other)
-        ))),
     }
-}
 
-/// A recovery-loop settle callback: decodes and echo-checks one
-/// worker reply for the frame range `start..start + len` of shard
-/// `index`, yielding that range's per-frame outputs.
-type SettleFn<'a, Out> = &'a dyn Fn(usize, usize, u32, &[u8]) -> BackendResult<Vec<Out>>;
-
-/// Shared echo verification of [`settle_shard_reply`] /
-/// [`settle_program_reply`]: a misrouted or stale reply cannot
-/// silently corrupt the merged stream.
-fn check_reply_echo(
-    expected: (u64, u32, u64, usize),
-    got: (u64, u32, u64, usize),
-) -> BackendResult<()> {
-    let (job_id, shard_index, first_frame, frames) = expected;
-    let (got_job, got_index, got_first, got_reports) = got;
-    if got_job != job_id || got_index != shard_index || got_first != first_frame {
-        return Err(OisaError::Backend(format!(
-            "shard reply mismatch: expected job {job_id} shard {shard_index} \
-             first_frame {first_frame}, \
-             got job {got_job} shard {got_index} first_frame {got_first}"
-        )));
-    }
-    if got_reports != frames {
-        return Err(OisaError::Backend(format!(
-            "shard {shard_index} returned {got_reports} reports for {frames} frames"
-        )));
-    }
-    Ok(())
-}
-
-/// Verifies one conv-shard reply end to end: decodes it, maps refusals
-/// to typed errors and checks every echo field against the planned
-/// range.
-fn settle_shard_reply(
-    job_id: u64,
-    start: usize,
-    len: usize,
-    index: u32,
-    payload: &[u8],
-) -> BackendResult<Vec<ConvolutionReport>> {
-    let report = match wire::decode(payload)? {
-        WireMessage::Report(report) => report,
-        WireMessage::Refusal(refusal) => return Err(refusal_to_error(refusal)),
-        other => {
-            return Err(OisaError::Backend(format!(
-                "worker answered shard {index} with a {}",
-                message_name(&other)
-            )));
+    /// Checks a worker's reply: a [`WireMessage::Pong`] to a ping or a
+    /// [`WireMessage::ConfigureAck`] to a push, echoing the nonce and
+    /// the coordinator's fingerprint. A refusal (e.g. a v2 peer that
+    /// cannot decode a push) maps to its typed error.
+    pub(crate) fn check(&self, reply: WireMessage) -> HandshakeVerdict {
+        let echo = match (reply, self.push.is_some()) {
+            (WireMessage::Pong(echo), false) | (WireMessage::ConfigureAck(echo), true) => echo,
+            (WireMessage::Refusal(refusal), _) => {
+                return HandshakeVerdict::Failed(refusal_to_error(refusal))
+            }
+            (other, _) => {
+                return HandshakeVerdict::Failed(OisaError::Backend(format!(
+                    "worker answered the {} with a {}",
+                    message_name(&self.message()),
+                    message_name(&other)
+                )))
+            }
+        };
+        if echo.nonce != self.nonce {
+            return HandshakeVerdict::Stale(format!(
+                "stale handshake reply (nonce {} ≠ {})",
+                echo.nonce, self.nonce
+            ));
         }
-    };
-    check_reply_echo(
-        (job_id, index, start as u64, len),
-        (
-            report.job_id,
-            report.shard_index,
-            report.first_frame,
-            report.reports.len(),
-        ),
-    )?;
-    Ok(report.reports)
-}
-
-/// [`settle_shard_reply`] for program shards.
-fn settle_program_reply(
-    job_id: u64,
-    start: usize,
-    len: usize,
-    index: u32,
-    payload: &[u8],
-) -> BackendResult<Vec<ProgramFrameReport>> {
-    let report = match wire::decode(payload)? {
-        WireMessage::ProgramReport(report) => report,
-        WireMessage::Refusal(refusal) => return Err(refusal_to_error(refusal)),
-        other => {
-            return Err(OisaError::Backend(format!(
-                "worker answered program shard {index} with a {}",
-                message_name(&other)
-            )));
+        if echo.config_fingerprint != self.fingerprint {
+            // On a ping the worker *runs* other physics; on a push it
+            // failed to adopt ours. Either way it must not serve.
+            return HandshakeVerdict::Failed(OisaError::FingerprintMismatch {
+                coordinator: self.fingerprint,
+                worker: echo.config_fingerprint,
+            });
         }
-    };
-    check_reply_echo(
-        (job_id, index, start as u64, len),
-        (
-            report.job_id,
-            report.shard_index,
-            report.first_frame,
-            report.reports.len(),
-        ),
-    )?;
-    Ok(report.reports)
+        HandshakeVerdict::Agreed
+    }
+
+    /// Runs the exchange as one round trip over any [`ShardTransport`].
+    ///
+    /// # Errors
+    ///
+    /// Transport failures from the round trip; the failed verdict's
+    /// error; [`OisaError::Backend`] for a stale nonce.
+    pub(crate) fn run(&self, worker: &mut dyn ShardTransport) -> BackendResult<()> {
+        let reply = worker.round_trip(&wire::encode(&self.message()))?;
+        match self.check(wire::decode(&reply)?) {
+            HandshakeVerdict::Agreed => Ok(()),
+            HandshakeVerdict::Stale(why) => Err(OisaError::Backend(why)),
+            HandshakeVerdict::Failed(error) => Err(error),
+        }
+    }
 }
 
 impl ComputeBackend for ShardedBackend {
@@ -1447,20 +1395,17 @@ impl ComputeBackend for ShardedBackend {
         &self.config
     }
 
-    /// [`ShardedBackend::run_job_with_recovery`] under the
-    /// no-recovery policy: the first transport failure aborts the job
-    /// (the caller repairs the fleet and retries). Both paths share
-    /// one planner, dispatcher and merge, so their results are
-    /// bit-identical by construction.
+    /// The coordinator's one path (module docs, "Layer programs") under
+    /// the no-recovery policy: the first transport failure aborts the
+    /// job (the caller repairs the fleet and retries).
     fn run_job(&mut self, job: &InferenceJob) -> BackendResult<Vec<ConvolutionReport>> {
-        self.run_job_with_recovery(job, &mut |_label, _error| Recovery::Abort)
+        self.run_with_recovery(job, &mut |_label, _error| Recovery::Abort)
     }
 
-    /// [`ShardedBackend::run_program_with_recovery`] under the
-    /// no-recovery policy, exactly mirroring
-    /// [`ComputeBackend::run_job`] above.
+    /// As [`ComputeBackend::run_job`] above: both job kinds share one
+    /// planner, dispatcher, settle and merge.
     fn run_program(&mut self, job: &ProgramJob) -> BackendResult<Vec<ProgramFrameReport>> {
-        self.run_program_with_recovery(job, &mut |_label, _error| Recovery::Abort)
+        self.run_with_recovery(job, &mut |_label, _error| Recovery::Abort)
     }
 }
 
@@ -1468,7 +1413,7 @@ impl ComputeBackend for ShardedBackend {
 mod tests {
     use super::*;
     use oisa_device::noise::NoiseConfig;
-    use oisa_sensor::frame::Frame;
+    use std::sync::{Arc, Mutex};
 
     fn cfg(seed: u64) -> OisaConfig {
         let mut cfg = OisaConfig::small_test();
@@ -1505,16 +1450,69 @@ mod tests {
         assert_eq!(via_backend, via_accel);
     }
 
+    /// An in-process worker that logs every request it decodes and
+    /// answers with the real reply passed through `tamper`.
+    struct RiggedWorker {
+        inner: InProcessWorker,
+        requests: Arc<Mutex<Vec<WireMessage>>>,
+        tamper: Tamper,
+    }
+
+    type Tamper = fn(WireMessage) -> WireMessage;
+
+    impl ShardTransport for RiggedWorker {
+        fn round_trip(&mut self, message: &[u8]) -> BackendResult<Vec<u8>> {
+            self.requests.lock().unwrap().push(wire::decode(message)?);
+            let reply = wire::decode(&self.inner.round_trip(message)?)?;
+            Ok(wire::encode(&(self.tamper)(reply)))
+        }
+    }
+
+    /// A fleet of `workers` rigged workers sharing one request log.
+    fn rigged(
+        config: OisaConfig,
+        workers: usize,
+        tamper: Tamper,
+    ) -> (ShardedBackend, Arc<Mutex<Vec<WireMessage>>>) {
+        let requests = Arc::new(Mutex::new(Vec::new()));
+        let fleet = (0..workers)
+            .map(|_| {
+                Box::new(RiggedWorker {
+                    inner: InProcessWorker::new(config),
+                    requests: Arc::clone(&requests),
+                    tamper,
+                }) as Box<dyn ShardTransport>
+            })
+            .collect();
+        (ShardedBackend::new(config, fleet).unwrap(), requests)
+    }
+
+    fn program_job(frames_n: usize) -> ProgramJob {
+        ProgramJob {
+            job_id: 10,
+            program: crate::program::LayerProgram::autoencoder(16, 16, 2, 4, 11).unwrap(),
+            frames: frames(frames_n),
+        }
+    }
+
     #[test]
     fn shard_planning_partitions_frames_epochs_and_entry_states() {
-        let backend = ShardedBackend::in_process(cfg(6), 3).unwrap();
+        let (mut backend, requests) = rigged(cfg(6), 3, |reply| reply);
         let job = InferenceJob {
             job_id: 9,
             k: 3,
             kernels: vec![vec![0.5f32; 9]],
             frames: frames(7),
         };
-        let shards = backend.plan_shards(&job);
+        backend.run_job(&job).unwrap();
+        let mut shards: Vec<JobShard> = std::mem::take(&mut *requests.lock().unwrap())
+            .into_iter()
+            .map(|request| match request {
+                WireMessage::Shard(shard) => shard,
+                other => panic!("expected a JobShard, got {other:?}"),
+            })
+            .collect();
+        shards.sort_by_key(|s| s.shard_index);
         assert_eq!(shards.len(), 3);
         // 7 frames over 3 workers: 3 + 2 + 2, contiguous.
         assert_eq!(
@@ -1539,9 +1537,130 @@ mod tests {
             frames: frames(2),
             ..job
         };
-        let shards = backend.plan_shards(&tiny);
+        backend.run_job(&tiny).unwrap();
+        let shards = std::mem::take(&mut *requests.lock().unwrap());
         assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].shard_count, 2);
+        assert!(
+            shards
+                .iter()
+                .all(|s| matches!(s, WireMessage::Shard(s) if s.shard_count == 2)),
+            "{shards:?}"
+        );
+        // A program strides `epochs_per_frame` epochs per frame from
+        // wherever the stream stands.
+        let base = backend.next_epoch;
+        let program = program_job(7);
+        let stride = program.program.epochs_per_frame();
+        assert!(stride > 1, "the program must stride more than one epoch");
+        backend.run_program(&program).unwrap();
+        let mut shards: Vec<ProgramShard> = std::mem::take(&mut *requests.lock().unwrap())
+            .into_iter()
+            .map(|request| match request {
+                WireMessage::ProgramShard(shard) => shard,
+                other => panic!("expected a ProgramShard, got {other:?}"),
+            })
+            .collect();
+        shards.sort_by_key(|s| s.shard_index);
+        assert_eq!(
+            shards.iter().map(|s| s.first_frame).collect::<Vec<_>>(),
+            vec![0, 3, 5]
+        );
+        for shard in &shards {
+            assert_eq!(shard.first_epoch, base + shard.first_frame * stride);
+        }
+        assert_eq!(backend.next_epoch, base + 7 * stride);
+    }
+
+    /// Rewrites the echo fields of a report of either kind and, with
+    /// `drop_last`, drops its last per-frame report.
+    fn tampered(reply: WireMessage, index: u32, first: u64, drop_last: bool) -> WireMessage {
+        match reply {
+            WireMessage::Report(mut r) => {
+                r.shard_index += index;
+                r.first_frame += first;
+                if drop_last {
+                    r.reports.pop();
+                }
+                WireMessage::Report(r)
+            }
+            WireMessage::ProgramReport(mut r) => {
+                r.shard_index += index;
+                r.first_frame += first;
+                if drop_last {
+                    r.reports.pop();
+                }
+                WireMessage::ProgramReport(r)
+            }
+            other => other,
+        }
+    }
+
+    /// The other job kind's report, with the same echo fields.
+    fn other_kind(reply: WireMessage) -> WireMessage {
+        match reply {
+            WireMessage::Report(r) => WireMessage::ProgramReport(ProgramReport {
+                job_id: r.job_id,
+                shard_index: r.shard_index,
+                first_frame: r.first_frame,
+                reports: Vec::new(),
+            }),
+            WireMessage::ProgramReport(r) => WireMessage::Report(ShardReport {
+                job_id: r.job_id,
+                shard_index: r.shard_index,
+                first_frame: r.first_frame,
+                reports: Vec::new(),
+            }),
+            other => other,
+        }
+    }
+
+    #[test]
+    fn bad_replies_are_typed_errors_for_both_job_kinds() {
+        let cases: [(&str, Tamper, &str); 4] = [
+            (
+                "other kind's report",
+                other_kind,
+                "worker answered shard 0 with a",
+            ),
+            (
+                "wrong shard_index",
+                |r| tampered(r, 1, 0, false),
+                "shard reply mismatch",
+            ),
+            (
+                "wrong first_frame",
+                |r| tampered(r, 0, 1, false),
+                "shard reply mismatch",
+            ),
+            (
+                "wrong report count",
+                |r| tampered(r, 0, 0, true),
+                "returned 1 reports for 2 frames",
+            ),
+        ];
+        let conv = InferenceJob {
+            job_id: 12,
+            k: 3,
+            kernels: vec![vec![0.5f32; 9]],
+            frames: frames(2),
+        };
+        let program = program_job(2);
+        for (case, tamper, expected) in cases {
+            for kind in ["conv", "program"] {
+                let (mut backend, _) = rigged(cfg(13), 1, tamper);
+                let err = match kind {
+                    "conv" => backend.run_job(&conv).map(|_| ()),
+                    _ => backend.run_program(&program).map(|_| ()),
+                }
+                .unwrap_err();
+                assert!(
+                    matches!(err, OisaError::Backend(ref what) if what.contains(expected)),
+                    "{kind} job, {case}: {err}"
+                );
+                assert_eq!(backend.jobs_run(), 0, "{kind} job, {case}");
+                assert_eq!(backend.next_epoch, 0, "{kind} job, {case}");
+            }
+        }
     }
 
     #[test]

@@ -43,8 +43,8 @@ use crate::program::ProgramFrameReport;
 use crate::wire::{InferenceJob, ProgramJob};
 
 use super::{
-    probe_transport, push_config_to_transport, BackendResult, ComputeBackend, Recovery,
-    ShardTransport, ShardedBackend,
+    BackendResult, ComputeBackend, HandshakeRequest, JobKind, Recovery, ShardTransport,
+    ShardedBackend,
 };
 
 /// Operating knobs of a [`FleetSupervisor`].
@@ -91,7 +91,7 @@ pub struct FleetStatus {
     pub quarantined: usize,
     /// Spares promoted into active duty so far.
     pub promotions: u64,
-    /// Mid-job re-plans (fleet shrinks) so far.
+    /// Mid-job re-plans (workers removed from the fleet mid-job) so far.
     pub replans: u64,
 }
 
@@ -140,23 +140,74 @@ pub struct FleetStatus {
 /// ```
 pub struct FleetSupervisor {
     backend: ShardedBackend,
-    spares: Vec<Box<dyn ShardTransport>>,
+    bench: Bench,
     options: SupervisorOptions,
+    last_sweep: Option<Instant>,
+}
+
+/// Everything the escalation ladder keeps besides the fleet itself —
+/// the spare bench, the quarantine log, the counters and the handshake
+/// nonce — in one place, so a recovery closure can borrow it while the
+/// coordinator holds the backend.
+struct Bench {
+    spares: Vec<Box<dyn ShardTransport>>,
     quarantined: Vec<QuarantineEvent>,
     promotions: u64,
     replans: u64,
-    last_sweep: Option<Instant>,
     nonce: u64,
+    /// The coordinator's fingerprint, which admitted spares must report.
+    fingerprint: u64,
+    /// Set when spares are admitted by config push
+    /// ([`SupervisorOptions::push_config_to_spares`]).
+    push_config: Option<OisaConfig>,
+}
+
+impl Bench {
+    fn next_nonce(&mut self) -> u64 {
+        self.nonce = self.nonce.wrapping_add(1);
+        self.nonce
+    }
+
+    /// The first two rungs of the ladder, shared by health sweeps and
+    /// mid-job failures: quarantine the failed endpoint, then pop spares
+    /// from the back until one passes admission (a liveness ping, or a
+    /// config push per the options). Spares that fail admission are
+    /// quarantined too. `None` means the bench holds no admissible
+    /// spare.
+    fn escalate(&mut self, label: &str, error: &OisaError) -> Option<Box<dyn ShardTransport>> {
+        self.quarantined.push(QuarantineEvent {
+            label: label.to_string(),
+            error: error.to_string(),
+        });
+        while let Some(mut spare) = self.spares.pop() {
+            let admission = HandshakeRequest {
+                nonce: self.next_nonce(),
+                fingerprint: self.fingerprint,
+                push: self.push_config,
+            };
+            match admission.run(spare.as_mut()) {
+                Ok(()) => {
+                    self.promotions += 1;
+                    return Some(spare);
+                }
+                Err(admission_error) => self.quarantined.push(QuarantineEvent {
+                    label: spare.endpoint_label(),
+                    error: format!("spare failed admission: {admission_error}"),
+                }),
+            }
+        }
+        None
+    }
 }
 
 impl std::fmt::Debug for FleetSupervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetSupervisor")
             .field("active", &self.backend.worker_count())
-            .field("spares", &self.spares.len())
-            .field("quarantined", &self.quarantined)
-            .field("promotions", &self.promotions)
-            .field("replans", &self.replans)
+            .field("spares", &self.bench.spares.len())
+            .field("quarantined", &self.bench.quarantined)
+            .field("promotions", &self.bench.promotions)
+            .field("replans", &self.bench.replans)
             .finish_non_exhaustive()
     }
 }
@@ -181,27 +232,23 @@ impl FleetSupervisor {
     ) -> BackendResult<Self> {
         let backend = ShardedBackend::new(config, active)?;
         let mut supervisor = Self {
+            bench: Bench {
+                spares,
+                quarantined: Vec::new(),
+                promotions: 0,
+                replans: 0,
+                nonce: 0,
+                fingerprint: backend.fingerprint,
+                push_config: options.push_config_to_spares.then_some(config),
+            },
             backend,
-            spares,
             options,
-            quarantined: Vec::new(),
-            promotions: 0,
-            replans: 0,
             last_sweep: None,
-            nonce: 0,
         };
         if options.push_config_to_spares {
-            for index in 0..supervisor.backend.worker_count() {
-                let nonce = supervisor.next_nonce();
-                supervisor.backend.push_config_to_worker(index, nonce)?;
-            }
+            supervisor.push_config_to_fleet()?;
         }
         Ok(supervisor)
-    }
-
-    fn next_nonce(&mut self) -> u64 {
-        self.nonce = self.nonce.wrapping_add(1);
-        self.nonce
     }
 
     /// The current fleet shape and recovery counters.
@@ -209,17 +256,17 @@ impl FleetSupervisor {
     pub fn status(&self) -> FleetStatus {
         FleetStatus {
             active: self.backend.worker_count(),
-            spares: self.spares.len(),
-            quarantined: self.quarantined.len(),
-            promotions: self.promotions,
-            replans: self.replans,
+            spares: self.bench.spares.len(),
+            quarantined: self.bench.quarantined.len(),
+            promotions: self.bench.promotions,
+            replans: self.bench.replans,
         }
     }
 
     /// Every quarantine recorded so far, oldest first.
     #[must_use]
     pub fn quarantine_log(&self) -> &[QuarantineEvent] {
-        &self.quarantined
+        &self.bench.quarantined
     }
 
     /// Read access to the supervised backend (fleet shape, job
@@ -240,7 +287,7 @@ impl FleetSupervisor {
     /// acknowledged a different fingerprint).
     pub fn push_config_to_fleet(&mut self) -> BackendResult<()> {
         for index in 0..self.backend.worker_count() {
-            let nonce = self.next_nonce();
+            let nonce = self.bench.next_nonce();
             self.backend.push_config_to_worker(index, nonce)?;
         }
         Ok(())
@@ -264,19 +311,17 @@ impl FleetSupervisor {
         // Descending order: removals never shift a slot still waiting
         // to be probed.
         for index in (0..self.backend.worker_count()).rev() {
-            let nonce = self.next_nonce();
-            let outcome = self.backend.ping_worker(index, nonce);
-            let error = match outcome {
-                Ok(_fingerprint) => continue,
-                Err(e) => e,
+            let nonce = self.bench.next_nonce();
+            let Err(error) = self.backend.ping_worker(index, nonce) else {
+                continue;
             };
             failed += 1;
-            self.quarantine(index, &error);
-            match self.promote_spare() {
-                Some(spare) => {
-                    self.promotions += 1;
-                    self.backend.replace_worker(index, spare)?;
-                }
+            let label = self
+                .backend
+                .worker_label(index)
+                .unwrap_or_else(|| format!("worker-{index}"));
+            match self.bench.escalate(&label, &error) {
+                Some(spare) => self.backend.replace_worker(index, spare)?,
                 None if self.backend.worker_count() > 1 => {
                     self.backend.remove_worker(index)?;
                 }
@@ -290,41 +335,6 @@ impl FleetSupervisor {
         Ok(failed)
     }
 
-    /// Records a quarantine for the worker currently at `index`.
-    fn quarantine(&mut self, index: usize, error: &OisaError) {
-        let label = self
-            .backend
-            .worker_label(index)
-            .unwrap_or_else(|| format!("worker-{index}"));
-        self.quarantined.push(QuarantineEvent {
-            label,
-            error: error.to_string(),
-        });
-    }
-
-    /// Takes the next admissible spare off the bench: each candidate
-    /// is liveness-probed (or config-pushed, per the options); dead
-    /// spares are quarantined too and the search continues.
-    fn promote_spare(&mut self) -> Option<Box<dyn ShardTransport>> {
-        while let Some(mut spare) = self.spares.pop() {
-            let nonce = self.next_nonce();
-            let admission = if self.options.push_config_to_spares {
-                push_config_to_transport(spare.as_mut(), self.backend.config(), nonce)
-            } else {
-                probe_transport(spare.as_mut(), self.backend.config().fingerprint(), nonce)
-                    .map(|_fingerprint| ())
-            };
-            match admission {
-                Ok(()) => return Some(spare),
-                Err(error) => self.quarantined.push(QuarantineEvent {
-                    label: spare.endpoint_label(),
-                    error: format!("spare failed admission: {error}"),
-                }),
-            }
-        }
-        None
-    }
-
     /// Runs the interval sweep if it is due.
     fn maybe_sweep(&mut self) -> BackendResult<()> {
         let Some(interval) = self.options.health_interval else {
@@ -335,6 +345,25 @@ impl FleetSupervisor {
             self.health_check_now()?;
         }
         Ok(())
+    }
+
+    /// The supervised body of [`FleetSupervisor::run_job`] and
+    /// [`FleetSupervisor::run_program`]: the interval sweep, then the
+    /// job through the coordinator with the escalation ladder as its
+    /// failure policy — promote an admissible spare, else shrink.
+    fn supervise<J: JobKind>(&mut self, job: &J) -> BackendResult<Vec<J::Output>> {
+        self.maybe_sweep()?;
+        let fleet = self.backend.worker_count();
+        let bench = &mut self.bench;
+        let result = self.backend.run_with_recovery(job, &mut |label, error| {
+            bench
+                .escalate(label, error)
+                .map_or(Recovery::Shrink, Recovery::Promote)
+        });
+        // Count the workers actually removed: the coordinator refuses to
+        // shrink its last worker and reports the fleet exhausted instead.
+        self.bench.replans += (fleet - self.backend.worker_count()) as u64;
+        result
     }
 }
 
@@ -349,114 +378,17 @@ impl ComputeBackend for FleetSupervisor {
     /// re-planned across the survivors. Either way the merged report
     /// stream is bit-identical to the no-failure run.
     fn run_job(&mut self, job: &InferenceJob) -> BackendResult<Vec<ConvolutionReport>> {
-        self.maybe_sweep()?;
-        // Split borrows: the recovery closure may not touch
-        // `self.backend` (mutably borrowed by the call), so promotion
-        // candidates and bookkeeping live in locals.
-        let config_fingerprint = self.backend.config().fingerprint();
-        let push_config = self
-            .options
-            .push_config_to_spares
-            .then(|| *self.backend.config());
-        let spares = &mut self.spares;
-        let quarantined = &mut self.quarantined;
-        let promotions = &mut self.promotions;
-        let replans = &mut self.replans;
-        let nonce = &mut self.nonce;
-        let backend = &mut self.backend;
-        backend.run_job_with_recovery(job, &mut |label, error| {
-            escalate(
-                spares,
-                quarantined,
-                promotions,
-                replans,
-                nonce,
-                push_config.as_ref(),
-                config_fingerprint,
-                label,
-                error,
-            )
-        })
+        self.supervise(job)
     }
 
-    /// [`ShardedBackend::run_program`](ComputeBackend::run_program)
-    /// behind the same escalation ladder as [`run_job`]: layer-program
-    /// shards lost to a dead worker re-run on promoted spares or
-    /// re-plan across the survivors, and the merged per-frame report
-    /// stream stays bit-identical to the no-failure run.
+    /// As [`run_job`]: layer programs take the same supervised path,
+    /// and the merged per-frame report stream stays bit-identical to
+    /// the no-failure run.
     ///
     /// [`run_job`]: ComputeBackend::run_job
     fn run_program(&mut self, job: &ProgramJob) -> BackendResult<Vec<ProgramFrameReport>> {
-        self.maybe_sweep()?;
-        // Same split-borrow discipline as `run_job`.
-        let config_fingerprint = self.backend.config().fingerprint();
-        let push_config = self
-            .options
-            .push_config_to_spares
-            .then(|| *self.backend.config());
-        let spares = &mut self.spares;
-        let quarantined = &mut self.quarantined;
-        let promotions = &mut self.promotions;
-        let replans = &mut self.replans;
-        let nonce = &mut self.nonce;
-        let backend = &mut self.backend;
-        backend.run_program_with_recovery(job, &mut |label, error| {
-            escalate(
-                spares,
-                quarantined,
-                promotions,
-                replans,
-                nonce,
-                push_config.as_ref(),
-                config_fingerprint,
-                label,
-                error,
-            )
-        })
+        self.supervise(job)
     }
-}
-
-/// The escalation ladder shared by every supervised job kind (conv
-/// jobs and layer programs): quarantine the failed endpoint, admit a
-/// spare if one passes its admission check (promote), otherwise fall
-/// back to re-planning the lost range across the survivors (shrink).
-#[allow(clippy::too_many_arguments)]
-fn escalate(
-    spares: &mut Vec<Box<dyn ShardTransport>>,
-    quarantined: &mut Vec<QuarantineEvent>,
-    promotions: &mut u64,
-    replans: &mut u64,
-    nonce: &mut u64,
-    push_config: Option<&OisaConfig>,
-    config_fingerprint: u64,
-    label: &str,
-    error: &OisaError,
-) -> Recovery {
-    quarantined.push(QuarantineEvent {
-        label: label.to_string(),
-        error: error.to_string(),
-    });
-    while let Some(mut spare) = spares.pop() {
-        *nonce = nonce.wrapping_add(1);
-        let admission = match push_config {
-            Some(config) => push_config_to_transport(spare.as_mut(), config, *nonce),
-            None => {
-                probe_transport(spare.as_mut(), config_fingerprint, *nonce).map(|_fingerprint| ())
-            }
-        };
-        match admission {
-            Ok(()) => {
-                *promotions += 1;
-                return Recovery::Promote(spare);
-            }
-            Err(admission_error) => quarantined.push(QuarantineEvent {
-                label: spare.endpoint_label(),
-                error: format!("spare failed admission: {admission_error}"),
-            }),
-        }
-    }
-    *replans += 1;
-    Recovery::Shrink
 }
 
 #[cfg(test)]
@@ -681,6 +613,12 @@ mod tests {
             matches!(err, OisaError::Backend(ref what) if what.contains("fleet exhausted")),
             "{err}"
         );
+        // One worker was removed (2 -> 1); the refused shrink of the
+        // last one is no re-plan.
+        let status = supervisor.status();
+        assert_eq!(status.replans, 1, "{status:?}");
+        assert_eq!(status.active, 1, "{status:?}");
+        assert_eq!(status.quarantined, 2, "{status:?}");
         // No state advanced on failure; a repaired fleet retries the
         // job bit-identically.
         assert_eq!(supervisor.backend().jobs_run(), 0);

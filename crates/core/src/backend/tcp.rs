@@ -19,7 +19,8 @@
 //!   [`TcpTransportConfig::io_timeout`]. With
 //!   [`TcpTransport::connect_with_config`] the handshake becomes a
 //!   wire-v3 config *push* instead of a fingerprint *check*: the full
-//!   [`OisaConfig`] travels in a [`WireMessage::Configure`] and the
+//!   [`OisaConfig`] travels in a
+//!   [`WireMessage::Configure`](wire::WireMessage::Configure) and the
 //!   worker rebuilds its accelerator to match, so heterogeneous fleets
 //!   converge instead of refusing. The push repeats on every
 //!   reconnect, because a worker's adopted config is
@@ -53,9 +54,11 @@ use std::time::Duration;
 
 use crate::accelerator::OisaConfig;
 use crate::error::OisaError;
-use crate::wire::{self, Handshake, WireError, WireMessage};
+use crate::wire::{self, WireError};
 
-use super::{refusal_to_error, serve_worker_configurable, BackendResult, ShardTransport};
+use super::{
+    serve_worker_configurable, BackendResult, HandshakeRequest, HandshakeVerdict, ShardTransport,
+};
 
 // ---------------------------------------------------------------------
 // Coordinator side: TcpTransport
@@ -147,8 +150,8 @@ pub struct TcpTransport {
     /// and checked against the worker's.
     fingerprint: u64,
     /// When set, fresh connections open with a wire-v3
-    /// [`WireMessage::Configure`] push of this config instead of a
-    /// fingerprint-checking ping (module docs).
+    /// [`WireMessage::Configure`](wire::WireMessage::Configure) push of this
+    /// config instead of a fingerprint-checking ping (module docs).
     push_config: Option<OisaConfig>,
     options: TcpTransportConfig,
     stream: Option<TcpStream>,
@@ -198,7 +201,8 @@ impl TcpTransport {
     }
 
     /// Like [`TcpTransport::connect`], but every fresh connection
-    /// opens with a wire-v3 [`WireMessage::Configure`] carrying
+    /// opens with a wire-v3
+    /// [`WireMessage::Configure`](wire::WireMessage::Configure) carrying
     /// `config` in full: the worker rebuilds its accelerator from it
     /// and acknowledges with the fingerprint of what it *applied*. A
     /// worker started with different physics therefore serves this
@@ -250,25 +254,6 @@ impl TcpTransport {
     #[must_use]
     pub fn endpoint(&self) -> &str {
         &self.endpoint
-    }
-
-    /// Round-trips a liveness probe under the full retry policy: a
-    /// fresh connection handshakes (or config-pushes), an established
-    /// one re-pings. This is the quarantine hook
-    /// [`FleetSupervisor`](super::FleetSupervisor) calls between jobs;
-    /// a hung worker fails it within the transport's bounded
-    /// `attempts × (io_timeout + backoff)` budget rather than hanging
-    /// the coordinator.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardTransport::round_trip`]: [`OisaError::Transport`] on
-    /// exhaustion, fatal protocol/config errors immediately.
-    pub fn health_check(&mut self) -> BackendResult<()> {
-        self.with_retries(|t| {
-            t.ensure_connected()?;
-            t.handshake()
-        })
     }
 
     /// Drops the current connection (if any) without talking to the
@@ -358,59 +343,29 @@ impl TcpTransport {
     /// config push making the peer *adopt* this physics.
     fn handshake(&mut self) -> Result<(), AttemptError> {
         self.nonce = self.nonce.wrapping_add(1);
-        let request = match self.push_config {
-            Some(config) => WireMessage::Configure(wire::ConfigPush {
-                nonce: self.nonce,
-                config,
-            }),
-            None => WireMessage::Ping(Handshake {
-                nonce: self.nonce,
-                config_fingerprint: self.fingerprint,
-            }),
+        let request = HandshakeRequest {
+            nonce: self.nonce,
+            fingerprint: self.fingerprint,
+            push: self.push_config,
         };
         let stream = self
             .stream
             .as_mut()
             .ok_or_else(|| AttemptError::Retry("connection dropped before the handshake".into()))?;
-        wire::send(stream, &request).map_err(AttemptError::from)?;
+        wire::send(stream, &request.message()).map_err(AttemptError::from)?;
         let payload = wire::read_frame(stream)
             .map_err(AttemptError::from)?
             .ok_or_else(|| {
                 AttemptError::Retry("worker closed the connection during the handshake".into())
             })?;
         let reply = wire::decode(&payload).map_err(AttemptError::from)?;
-        let echoed = match (&reply, self.push_config.is_some()) {
-            (WireMessage::Pong(pong), false) => *pong,
-            (WireMessage::ConfigureAck(ack), true) => *ack,
-            (WireMessage::Refusal(refusal), _) => {
-                // A v2 worker cannot decode a Configure and refuses it
-                // (typed) instead of adopting it — fatal, not a
-                // reconnect-and-hope situation.
-                return Err(AttemptError::Fatal(refusal_to_error(refusal.clone())));
-            }
-            (other, _) => {
-                return Err(AttemptError::Fatal(OisaError::Backend(format!(
-                    "worker answered the handshake with a {}",
-                    super::message_name(other)
-                ))));
-            }
-        };
-        if echoed.nonce != self.nonce {
-            return Err(AttemptError::Retry(format!(
-                "stale handshake reply (nonce {} ≠ {})",
-                echoed.nonce, self.nonce
-            )));
+        // A stale reply may come right after a reconnect; a refusal (a
+        // v2 worker cannot decode a Configure) or a mismatch will not.
+        match request.check(reply) {
+            HandshakeVerdict::Agreed => Ok(()),
+            HandshakeVerdict::Stale(why) => Err(AttemptError::Retry(why)),
+            HandshakeVerdict::Failed(error) => Err(AttemptError::Fatal(error)),
         }
-        if echoed.config_fingerprint != self.fingerprint {
-            // On the ping path the worker *runs* other physics; on the
-            // push path it failed to adopt ours. Either way the fleet
-            // must not serve through this transport.
-            return Err(AttemptError::Fatal(OisaError::FingerprintMismatch {
-                coordinator: self.fingerprint,
-                worker: echoed.config_fingerprint,
-            }));
-        }
-        Ok(())
     }
 
     /// One send-and-receive over the current connection.
@@ -802,42 +757,6 @@ mod tests {
         let mut local = crate::backend::LocalBackend::new(coordinator_cfg).unwrap();
         let expected = local.run_job(&job).unwrap();
         assert_eq!(pushed, expected, "config-pushed fleet must match local");
-    }
-
-    #[test]
-    fn health_check_passes_on_a_live_worker_and_fails_fast_on_a_hung_one() {
-        let config = cfg(22);
-        let worker = TcpWorker::bind(config, "127.0.0.1:0")
-            .unwrap()
-            .spawn()
-            .unwrap();
-        let mut transport =
-            TcpTransport::connect(worker.endpoint(), config.fingerprint(), fast()).unwrap();
-        transport.health_check().unwrap();
-
-        // A listener that accepts and then never replies simulates a
-        // hung worker: the probe must fail within the bounded
-        // attempts × io_timeout budget instead of hanging.
-        let hung = TcpListener::bind("127.0.0.1:0").unwrap();
-        let hung_addr = hung.local_addr().unwrap();
-        let _keep_accepting = std::thread::spawn(move || {
-            let mut held = Vec::new();
-            while let Ok((stream, _)) = hung.accept() {
-                held.push(stream); // hold the socket open, say nothing
-            }
-        });
-        let mut options = fast();
-        options.io_timeout = Some(Duration::from_millis(200));
-        let mut probe =
-            TcpTransport::deferred(hung_addr.to_string(), config.fingerprint(), options);
-        let started = std::time::Instant::now();
-        let err = probe.health_check().unwrap_err();
-        let elapsed = started.elapsed();
-        assert!(matches!(err, OisaError::Transport { .. }), "{err}");
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "hung-worker probe took {elapsed:?}, not bounded"
-        );
     }
 
     #[test]
