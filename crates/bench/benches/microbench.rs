@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use oisa_core::mapping::{ConvWorkload, MappingPlan};
-use oisa_core::mlp::{matvec, matvec_parallel};
+use oisa_core::mlp::{matvec, matvec_parallel, StagedMatrix};
 use oisa_core::{OisaAccelerator, OisaConfig};
 use oisa_device::awc::{AwcLadder, AwcParams};
 use oisa_device::mr::{Microring, MrDesign};
@@ -270,7 +270,8 @@ fn bench_full_frame_conv_128(c: &mut Criterion) {
 }
 
 /// The parallel dense path vs its serial oracle on a 256-row layer,
-/// plus the parallel path on the autoencoder's 8 × 31752 layer.
+/// plus the autoencoder's 8 × 31752 layer: staging alone, staged
+/// evaluation alone, and both in one `matvec_parallel` call.
 fn bench_matvec(c: &mut Criterion) {
     let cfg = OpcConfig {
         banks: 4,
@@ -325,6 +326,19 @@ fn bench_matvec(c: &mut Criterion) {
     let input: Vec<f64> = (0..cols)
         .map(|i| ((i as f64 * 0.23).sin().abs()).min(1.0))
         .collect();
+    // Stage once, evaluate per input: the two halves of the staged
+    // dense path, then both together (the one-call case).
+    c.bench_function("dense_stage_8x31752", |b| {
+        b.iter(|| StagedMatrix::new(&opc, &mapper, black_box(&matrix), rows, cols).unwrap());
+    });
+    let staged = StagedMatrix::new(&opc, &mapper, &matrix, rows, cols).unwrap();
+    c.bench_function("matvec_staged_8x31752", |b| {
+        b.iter(|| {
+            staged
+                .matvec(&mut opc, &vom, black_box(&input), &mut noise)
+                .unwrap()
+        });
+    });
     c.bench_function("matvec_parallel_8x31752", |b| {
         b.iter(|| {
             matvec_parallel(

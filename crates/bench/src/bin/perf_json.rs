@@ -36,7 +36,8 @@
 //! `FleetSupervisor` fleet loses a worker mid-job and self-heals (the
 //! `supervisor_failover_ms` block: wall clock from the injected kill
 //! to the merged job completion, tracked for presence, not
-//! value-gated), and the dense path times [`matvec_parallel`] against
+//! value-gated), and the dense path times [`matvec_parallel`] (stage
+//! and evaluate in one call) and a [`StagedMatrix`] evaluation against
 //! serial [`matvec`] on a 256-row layer (`matvec_rows_per_sec`).
 //!
 //! Flags:
@@ -63,7 +64,7 @@ use oisa_core::backend::{
     ComputeBackend, FleetSupervisor, InProcessWorker, ShardTransport, ShardedBackend,
     SupervisorOptions, TcpTransport, TcpTransportConfig, TcpWorker,
 };
-use oisa_core::mlp::{matvec, matvec_parallel};
+use oisa_core::mlp::{matvec, matvec_parallel, StagedMatrix};
 use oisa_core::program::{run_reference, LayerProgram};
 use oisa_core::serving::{ServingConfig, ServingEngine};
 use oisa_core::wire::{self, InferenceJob, ProgramJob, WireMessage};
@@ -489,6 +490,8 @@ fn main() {
     let mut mv_opc = Opc::new(opc_cfg).expect("opc construction");
     let mv_vom = Vom::new(VomConfig::paper_default()).expect("vom construction");
     let mv_mapper = WeightMapper::ideal(4).expect("mapper construction");
+    let mv_staged = StagedMatrix::new(&mv_opc, &mv_mapper, &mv_matrix, mv_rows, mv_cols)
+        .expect("staged matrix");
     {
         let mut n1 = NoiseSource::seeded(7, NoiseConfig::paper_default());
         let mut n2 = NoiseSource::seeded(7, NoiseConfig::paper_default());
@@ -515,6 +518,12 @@ fn main() {
         )
         .expect("parallel matvec");
         assert_eq!(s, p, "parallel matvec must be bit-identical to serial");
+        // The same layer staged once and evaluated on its own.
+        let mut n3 = NoiseSource::seeded(7, NoiseConfig::paper_default());
+        let staged = mv_staged
+            .matvec(&mut mv_opc, &mv_vom, &mv_input, &mut n3)
+            .expect("staged matvec");
+        assert_eq!(s, staged, "staged matvec must be bit-identical to serial");
     }
     let mut mv_noise = NoiseSource::seeded(7, NoiseConfig::paper_default());
     let matvec_serial_ms = median_ms(reps, || {
@@ -543,6 +552,12 @@ fn main() {
             &mut mv_noise,
         )
         .expect("parallel matvec");
+        std::hint::black_box(r.output[0]);
+    });
+    let matvec_staged_ms = median_ms(reps, || {
+        let r = mv_staged
+            .matvec(&mut mv_opc, &mv_vom, &mv_input, &mut mv_noise)
+            .expect("staged matvec");
         std::hint::black_box(r.output[0]);
     });
 
@@ -630,6 +645,7 @@ fn main() {
             "\"backend_tcp_8_frames\":{backend_tcp_ms:.3},",
             "\"program_8_frames\":{program_ms:.3},",
             "\"matvec_parallel\":{matvec_parallel_ms:.3},",
+            "\"matvec_staged\":{matvec_staged_ms:.3},",
             "\"matvec_serial\":{matvec_serial_ms:.3},",
             "\"conv2d_im2col\":{im2col:.3},",
             "\"conv2d_naive\":{naive:.3}}},",
@@ -706,6 +722,7 @@ fn main() {
         backend_tcp_ms = backend_tcp_ms,
         program_ms = program_ms,
         matvec_parallel_ms = matvec_parallel_ms,
+        matvec_staged_ms = matvec_staged_ms,
         matvec_serial_ms = matvec_serial_ms,
         im2col = im2col_ms,
         naive = naive_ms,

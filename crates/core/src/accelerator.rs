@@ -1312,7 +1312,7 @@ impl OisaAccelerator {
     /// weight rows is chunked across arms and VOM-aggregated (paper
     /// §III-A's MLP path).
     ///
-    /// Rows evaluate in parallel against immutable per-arm snapshots
+    /// The matrix is staged once and its rows evaluate in parallel
     /// ([`crate::mlp::matvec_parallel`]); the result is bit-identical
     /// to [`OisaAccelerator::dense_layer_serial`], the serial oracle.
     ///
@@ -1325,19 +1325,8 @@ impl OisaAccelerator {
         matrix: &[f32],
         rows: usize,
     ) -> Result<crate::mlp::MatVecReport> {
-        let capture = self.imager.expose(frame)?;
-        let encoded = self.vam.encode_capture(&capture)?;
-        let cols = encoded.optical.len();
-        crate::mlp::matvec_parallel(
-            &mut self.opc,
-            &self.vom,
-            &self.mapper,
-            matrix,
-            rows,
-            cols,
-            &encoded.optical,
-            &mut self.noise,
-        )
+        let input = self.sense_optical(frame)?;
+        self.dense_vector(&input, matrix, rows)
     }
 
     /// Single-threaded twin of [`OisaAccelerator::dense_layer`]: chunks
@@ -1354,17 +1343,15 @@ impl OisaAccelerator {
         matrix: &[f32],
         rows: usize,
     ) -> Result<crate::mlp::MatVecReport> {
-        let capture = self.imager.expose(frame)?;
-        let encoded = self.vam.encode_capture(&capture)?;
-        let cols = encoded.optical.len();
+        let input = self.sense_optical(frame)?;
         crate::mlp::matvec(
             &mut self.opc,
             &self.vom,
             &self.mapper,
             matrix,
             rows,
-            cols,
-            &encoded.optical,
+            input.len(),
+            &input,
             &mut self.noise,
         )
     }
@@ -1375,9 +1362,10 @@ impl OisaAccelerator {
     /// [`OisaAccelerator::dense_layer`] no frame is sensed or encoded,
     /// the predecessor stage's output drives the arms directly.
     ///
-    /// Rows fan out over [`crate::mlp::matvec_parallel`]; one noise
-    /// epoch is consumed, exactly as [`OisaAccelerator::dense_layer`]
-    /// does.
+    /// The one-call case of the staged dense path
+    /// ([`crate::mlp::matvec_parallel`]): the matrix is staged, then
+    /// evaluated once; one noise epoch is consumed, exactly as
+    /// [`OisaAccelerator::dense_layer`] does.
     ///
     /// # Errors
     ///
@@ -1399,6 +1387,35 @@ impl OisaAccelerator {
             input,
             &mut self.noise,
         )
+    }
+
+    /// Senses and ternary-encodes `frame` into the optical domain: the
+    /// input of a dense layer that consumes the frame.
+    pub(crate) fn sense_optical(&mut self, frame: &Frame) -> Result<Vec<f64>> {
+        let capture = self.imager.expose(frame)?;
+        Ok(self.vam.encode_capture(&capture)?.optical)
+    }
+
+    /// Stages a dense `rows × cols` matrix for this accelerator's
+    /// fabric ([`crate::mlp::StagedMatrix::new`]): no noise consumed,
+    /// the fabric untouched.
+    pub(crate) fn stage_dense<'m>(
+        &self,
+        matrix: &'m [f32],
+        rows: usize,
+        cols: usize,
+    ) -> Result<crate::mlp::StagedMatrix<'m>> {
+        crate::mlp::StagedMatrix::new(&self.opc, &self.mapper, matrix, rows, cols)
+    }
+
+    /// Evaluates a matrix [`OisaAccelerator::stage_dense`] staged on
+    /// `input`, consuming one noise epoch.
+    pub(crate) fn dense_staged(
+        &mut self,
+        staged: &crate::mlp::StagedMatrix<'_>,
+        input: &[f64],
+    ) -> Result<crate::mlp::MatVecReport> {
+        staged.matvec(&mut self.opc, &self.vom, input, &mut self.noise)
     }
 
     /// Stages the fabric into the exit state one dense `rows × cols`

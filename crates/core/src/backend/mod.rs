@@ -69,7 +69,8 @@
 //! * **Shard message** — a conv range travels as a [`JobShard`] with a
 //!   [`FabricEntry`]; a program range as a [`ProgramShard`], which
 //!   carries none: every executor (local or worker) runs
-//!   [`prewarm_program`](crate::program) once, staging the program's
+//!   [`run_program_frames`](crate::accelerator::OisaAccelerator::run_program_frames),
+//!   whose one [`prewarm_program`](crate::program) stages the program's
 //!   own steady state regardless of fabric history, so per-frame
 //!   reports are history-independent by construction and shard merges
 //!   are bit-identical to the sequential reference
@@ -283,20 +284,13 @@ impl ComputeBackend for LocalBackend {
             .map_err(Into::into)
     }
 
-    /// One [`prewarm_program`](crate::program) (so reports are
-    /// history-independent, matching the sequential reference and any
-    /// sharded merge), then a per-frame loop.
+    /// [`OisaAccelerator::run_program_frames`]: one prewarm (so
+    /// reports are history-independent, matching the sequential
+    /// reference and any sharded merge), dense stages staged once, then
+    /// a per-frame loop.
     fn run_program(&mut self, job: &ProgramJob) -> BackendResult<Vec<ProgramFrameReport>> {
         validate_job(self, job)?;
-        self.accel.prewarm_program(&job.program)?;
-        job.frames
-            .iter()
-            .map(|frame| {
-                self.accel
-                    .run_program_frame(&job.program, frame)
-                    .map_err(Into::into)
-            })
-            .collect()
+        Ok(self.accel.run_program_frames(&job.program, &job.frames)?)
     }
 }
 
@@ -374,12 +368,7 @@ pub fn execute_program_shard(
     shard: &ProgramShard,
 ) -> BackendResult<ProgramReport> {
     let mut accel = fresh_accelerator(config, shard.config_fingerprint, shard.first_epoch)?;
-    accel.prewarm_program(&shard.program)?;
-    let reports = shard
-        .frames
-        .iter()
-        .map(|frame| accel.run_program_frame(&shard.program, frame))
-        .collect::<crate::Result<Vec<_>>>()?;
+    let reports = accel.run_program_frames(&shard.program, &shard.frames)?;
     Ok(ProgramReport {
         job_id: shard.job_id,
         shard_index: shard.shard_index,

@@ -65,11 +65,17 @@
 //!   work-steals `(frame, pass, row-band)` items so no worker idles at
 //!   a frame boundary. Each frame keys its own noise epoch; the oracle
 //!   is the per-frame sequential loop.
-//! * **Dense / MLP** — [`mlp::matvec_parallel`] fans rows out over the
-//!   scheduler and stages each chunk by table lookup through one shared
-//!   code-indexed [`oisa_optics::arm::ArmStager`], so rows never
-//!   serialise on shared-fabric `load_arm` and no chunk re-tunes a
-//!   ring. [`mlp::matvec`] is the oracle.
+//! * **Dense / MLP** — a [`mlp::StagedMatrix`] quantises a layer's
+//!   weights once into one signed AWC code byte each (rows in
+//!   parallel); every evaluation then fans rows out over the scheduler,
+//!   rebuilds each chunk's ring gains from the per-code tables of one
+//!   shared [`oisa_optics::arm::ArmStager`] and runs it through the
+//!   counter-addressed MAC kernel the convolution engines use, so rows
+//!   never serialise on shared-fabric `load_arm` and no chunk re-tunes
+//!   a ring. [`mlp::matvec_parallel`] stages and evaluates in one call;
+//!   layer programs stage once per run
+//!   ([`OisaAccelerator::run_program_frames`]). [`mlp::matvec`] is the
+//!   oracle.
 //! * **Served frames** — [`serving::ServingEngine`] queues frames that
 //!   arrive over time and feeds the batch engine; the oracle is the
 //!   same sequential per-frame loop, independent of how requests

@@ -16,12 +16,22 @@
 //! * [`matvec`] — the serial oracle: chunks round-robin over the shared
 //!   fabric via `load_arm`, exactly as the hardware would serialise
 //!   them.
-//! * [`matvec_parallel`] — rows fan out over the work-stealing
-//!   scheduler and every chunk is staged by table lookup through one
-//!   shared [`ArmStager`](oisa_optics::arm::ArmStager), so no row ever
-//!   waits on another's fabric mutation and no chunk re-tunes a ring.
-//!   Output, energy, latency and chunk count are bit-identical to
-//!   [`matvec`] under the same seed and epoch.
+//! * The staged engine, in two steps. A dense layer's weights belong
+//!   to the layer, not to the input (paper §III-A maps them onto AWC
+//!   ring codes once), so **staging** happens once per matrix:
+//!   [`StagedMatrix::new`] quantises every weight, rows in parallel,
+//!   into one signed AWC code byte ([`StagedCode`]). **Evaluation**
+//!   happens once per input: [`StagedMatrix::matvec`] fans rows out
+//!   over the work-stealing scheduler, rebuilds each chunk's magnitudes
+//!   and crosstalk gains from the per-code tables of one shared
+//!   [`ArmStager`], and runs it through the counter-addressed MAC
+//!   kernel the convolution engines use ([`ArmStager::mac_indexed`]).
+//!   No row waits on another's fabric mutation and no chunk re-tunes a
+//!   ring. [`matvec_parallel`] is the one-call case (stage, then
+//!   evaluate once); [`OisaAccelerator::run_program_frames`] stages
+//!   each dense stage once per program run and evaluates it per frame.
+//!   Output, energy, latency, chunk count, errors and fabric exit state
+//!   are bit-identical to [`matvec`] under the same seed and epoch.
 //!
 //! The lookup is exact because a ring's state after a load depends only
 //! on its weight code (code → AWC level → detuning → the crosstalk it
@@ -29,9 +39,11 @@
 //! energy — the one quantity that depends on a ring's previous
 //! operating point. The fabric's recorded tuning state is reproduced
 //! separately, by replaying each used arm's last loads.
+//!
+//! [`OisaAccelerator::run_program_frames`]: crate::accelerator::OisaAccelerator::run_program_frames
 
 use oisa_device::noise::NoiseSource;
-use oisa_optics::arm::MacResult;
+use oisa_optics::arm::{ArmConfig, ArmStager, MacResult, StagedCode};
 use oisa_optics::opc::Opc;
 use oisa_optics::vom::Vom;
 use oisa_optics::weights::WeightMapper;
@@ -122,28 +134,15 @@ pub fn matvec(
     })
 }
 
-/// Parallel twin of [`matvec`]: rows fan out over the work-stealing
-/// scheduler and evaluate against a code-indexed
-/// [`ArmStager`](oisa_optics::arm::ArmStager) instead of serialising
-/// on the shared fabric.
+/// Parallel twin of [`matvec`]: stages `matrix` once
+/// ([`StagedMatrix::new`]) and evaluates it once
+/// (as [`StagedMatrix::matvec`] does) — the one-call case of the
+/// staged dense path.
 ///
-/// The stager is built once per call from the core's arm design and
-/// `mapper`: per weight code it holds the crosstalk that code imposes on
-/// each neighbour, so staging a chunk is quantisation plus table
-/// lookups — no ring tuning, no arm and no allocation. Each chunk is
-/// evaluated through the same `(epoch, row, chunk)` noise stream the
-/// serial engine would use; arm state after `load_weights` depends only
-/// on the loaded codes, never on fabric history, so every
-/// [`MacResult`] is bit-identical to the serial path's. The final
-/// reduction walks rows in order with the serial engine's exact
-/// floating-point grouping.
-///
-/// The consumed noise epoch matches [`matvec`], and the fabric is left
-/// in the serial engine's exact exit state (each used arm's final two
-/// round-robin loads are replayed, which pins both the ring operating
-/// points and the per-arm recorded tuning energy/latency) — so the two
-/// engines are drop-in interchangeable under a seed, including for
-/// whatever runs on the fabric afterwards.
+/// Output, energy, latency, chunk count, consumed noise epoch, errors
+/// and the fabric exit state are bit-identical to [`matvec`] under the
+/// same seed and epoch, so the two engines are drop-in interchangeable,
+/// including for whatever runs on the fabric afterwards.
 ///
 /// # Errors
 ///
@@ -160,51 +159,172 @@ pub fn matvec_parallel(
     noise: &mut NoiseSource,
 ) -> Result<MatVecReport> {
     validate_matvec(matrix, rows, cols, input)?;
-    let scale = matrix_scale(matrix);
+    // The serial engine consumes its epoch before touching a weight,
+    // so a staging error leaves the noise source where it leaves it.
     let epoch = noise.begin_epoch()?;
-    let stager = opc.scratch_arm()?.stager(mapper);
-    let noise_ref: &NoiseSource = noise;
-    let row_partials: Vec<Result<Vec<MacResult>>> =
-        scheduler::execute((0..rows).collect(), |_, r| -> Result<Vec<MacResult>> {
-            let row = &matrix[r * cols..(r + 1) * cols];
-            let row_stream = noise_ref.slot_stream(epoch, r as u64);
-            let mut partials = Vec::with_capacity(cols.div_ceil(CHUNK));
-            let mut staged = [0.0f64; CHUNK];
-            for (ci, (w_chunk, a_chunk)) in row.chunks(CHUNK).zip(input.chunks(CHUNK)).enumerate() {
-                let weights = normalise_chunk(w_chunk, scale, &mut staged);
-                let stream = row_stream.at(ci as u64);
-                partials.push(stager.mac(weights, a_chunk, &mut stream.cursor())?);
-            }
-            Ok(partials)
-        });
-    // Ordered reduction with the serial engine's exact grouping: per
-    // row, chunk energies first, then the VOM aggregate.
-    let mut output = Vec::with_capacity(rows);
-    let mut total_chunks = 0usize;
-    let mut energy = Joule::ZERO;
-    let mut latency = Second::ZERO;
-    for partials in row_partials {
-        let partials = partials?;
-        for p in &partials {
-            energy += p.optical_energy;
-        }
-        total_chunks += partials.len();
-        let agg = vom.accumulate_and_transmit(&partials)?;
-        energy += agg.energy;
-        latency += agg.latency;
-        output.push((agg.value * f64::from(scale)) as f32);
+    StagedMatrix::new(opc, mapper, matrix, rows, cols)?.evaluate(opc, vom, input, noise, epoch)
+}
+
+/// A dense matrix staged for one fabric design: the per-tensor scale
+/// and one [`StagedCode`] (signed AWC code, one byte) per weight.
+///
+/// A dense layer's weights belong to the layer, not to the input, so
+/// staging happens once per matrix and evaluation once per input
+/// vector: [`StagedMatrix::matvec`] rebuilds each chunk's magnitudes
+/// and crosstalk gains from the [`ArmStager`]'s per-code tables and
+/// runs it through the counter-addressed kernel
+/// ([`ArmStager::mac_indexed`]) — no quantisation, ring tuning or
+/// allocation per chunk. Results are bit-identical to [`matvec`],
+/// because ring state after a load depends only on the loaded codes.
+///
+/// The staged form borrows the matrix (the fabric exit-state replay
+/// needs its weights) and evaluates only on a fabric of the arm design
+/// it was staged for.
+#[derive(Debug, Clone)]
+pub struct StagedMatrix<'m> {
+    matrix: &'m [f32],
+    design: ArmConfig,
+    rows: usize,
+    cols: usize,
+    scale: f32,
+    stager: ArmStager,
+    codes: Vec<StagedCode>,
+}
+
+impl<'m> StagedMatrix<'m> {
+    /// Stages the row-major `rows × cols` `matrix` for `opc`'s arm
+    /// design and `mapper`'s codes, rows in parallel. Consumes no noise
+    /// and leaves the fabric untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] for a matrix that is not
+    /// `rows × cols`; otherwise the first weight error in the order
+    /// [`matvec`] meets it (row by row, chunk by chunk, and within a
+    /// chunk in `load_weights`' order: a non-finite or out-of-range
+    /// weight, then an untunable code).
+    pub fn new(
+        opc: &Opc,
+        mapper: &WeightMapper,
+        matrix: &'m [f32],
+        rows: usize,
+        cols: usize,
+    ) -> Result<Self> {
+        validate_shape(matrix, rows, cols)?;
+        let scale = matrix_scale(matrix);
+        let stager = opc.scratch_arm()?.stager(mapper);
+        let mut codes = vec![StagedCode::default(); matrix.len()];
+        let staged = scheduler::execute(
+            codes.chunks_mut(cols).zip(matrix.chunks(cols)).collect(),
+            |_, (out, row): (&mut [StagedCode], &[f32])| -> Result<()> {
+                let mut normalised = [0.0f64; CHUNK];
+                for (out, w_chunk) in out.chunks_mut(CHUNK).zip(row.chunks(CHUNK)) {
+                    stager.stage(normalise_chunk(w_chunk, scale, &mut normalised), out)?;
+                }
+                Ok(())
+            },
+        );
+        staged.into_iter().collect::<Result<()>>()?;
+        Ok(Self {
+            matrix,
+            design: opc.config().arm,
+            rows,
+            cols,
+            scale,
+            stager,
+            codes,
+        })
     }
 
-    // Leave the shared fabric exactly as the serial engine would, so
-    // the two paths stay interchangeable for whatever runs next.
-    replay_exit_state(opc, mapper, matrix, scale, rows, cols)?;
+    /// Evaluates `matrix · input` on the fabric — bit-identical to
+    /// [`matvec`] over the staged matrix, consumed noise epoch and
+    /// fabric exit state included. Rows fan out over the work-stealing
+    /// scheduler; each chunk draws from the `(epoch, row, chunk)`
+    /// stream the serial engine would use, and the final reduction
+    /// walks rows in order with the serial engine's exact
+    /// floating-point grouping.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] when `opc`'s arm design is not
+    /// the one the matrix was staged for, or `input` is not `cols` long
+    /// or leaves `[0, 1]`; substrate errors from the optical fabric.
+    pub fn matvec(
+        &self,
+        opc: &mut Opc,
+        vom: &Vom,
+        input: &[f64],
+        noise: &mut NoiseSource,
+    ) -> Result<MatVecReport> {
+        if opc.config().arm != self.design {
+            return Err(CoreError::InvalidParameter(
+                "matrix was staged for a different arm design".into(),
+            ));
+        }
+        validate_input(input, self.cols)?;
+        let epoch = noise.begin_epoch()?;
+        self.evaluate(opc, vom, input, noise, epoch)
+    }
 
-    Ok(MatVecReport {
-        output,
-        chunks: total_chunks,
-        energy,
-        latency,
-    })
+    /// [`StagedMatrix::matvec`] once the input is validated and the
+    /// epoch consumed.
+    fn evaluate(
+        &self,
+        opc: &mut Opc,
+        vom: &Vom,
+        input: &[f64],
+        noise: &NoiseSource,
+        epoch: u64,
+    ) -> Result<MatVecReport> {
+        let row_partials: Vec<Vec<MacResult>> = scheduler::execute(
+            self.codes.chunks(self.cols).collect(),
+            |r, row: &[StagedCode]| {
+                let row_stream = noise.slot_stream(epoch, r as u64);
+                row.chunks(CHUNK)
+                    .zip(input.chunks(CHUNK))
+                    .enumerate()
+                    .map(|(ci, (codes, a_chunk))| {
+                        self.stager
+                            .mac_indexed(codes, a_chunk, &row_stream.at(ci as u64), 0)
+                    })
+                    .collect()
+            },
+        );
+        // Ordered reduction with the serial engine's exact grouping: per
+        // row, chunk energies first, then the VOM aggregate.
+        let mut output = Vec::with_capacity(self.rows);
+        let mut total_chunks = 0usize;
+        let mut energy = Joule::ZERO;
+        let mut latency = Second::ZERO;
+        for partials in row_partials {
+            for p in &partials {
+                energy += p.optical_energy;
+            }
+            total_chunks += partials.len();
+            let agg = vom.accumulate_and_transmit(&partials)?;
+            energy += agg.energy;
+            latency += agg.latency;
+            output.push((agg.value * f64::from(self.scale)) as f32);
+        }
+
+        // Leave the shared fabric exactly as the serial engine would, so
+        // the two paths stay interchangeable for whatever runs next.
+        replay_exit_state(
+            opc,
+            self.stager.mapper(),
+            self.matrix,
+            self.scale,
+            self.rows,
+            self.cols,
+        )?;
+
+        Ok(MatVecReport {
+            output,
+            chunks: total_chunks,
+            energy,
+            latency,
+        })
+    }
 }
 
 /// Reproduces the fabric exit state a serial [`matvec`] over the
@@ -262,6 +382,12 @@ pub(crate) fn replay_exit_state(
 /// report the offending index before any fabric state changes.
 fn validate_matvec(matrix: &[f32], rows: usize, cols: usize, input: &[f64]) -> Result<()> {
     validate_shape(matrix, rows, cols)?;
+    validate_input(input, cols)
+}
+
+/// Checks that `input` holds `cols` activations in `[0, 1]`, naming the
+/// first offending index.
+fn validate_input(input: &[f64], cols: usize) -> Result<()> {
     if input.len() != cols {
         return Err(CoreError::InvalidParameter(format!(
             "input length {} != cols {cols}",
@@ -321,7 +447,6 @@ fn normalise_chunk<'b>(chunk: &[f32], scale: f32, buf: &'b mut [f64; CHUNK]) -> 
 mod tests {
     use super::*;
     use oisa_device::noise::{NoiseConfig, NoiseSource};
-    use oisa_optics::arm::ArmConfig;
     use oisa_optics::opc::OpcConfig;
     use oisa_optics::vom::VomConfig;
 
@@ -477,6 +602,193 @@ mod tests {
             opc, par_opc,
             "fabric exit state must match the serial engine"
         );
+    }
+
+    /// Runs serial `matvec` and `matvec_parallel` on fresh fabrics and
+    /// equal noise sources, asserting bit-identical reports (or
+    /// errors), noise cursors and fabric exit states; returns the
+    /// parallel engine's fabric and noise for follow-up calls.
+    fn assert_engines_agree(
+        cfg: OpcConfig,
+        mapper: &WeightMapper,
+        matrix: &[f32],
+        rows: usize,
+        cols: usize,
+        input: &[f64],
+    ) -> (Result<MatVecReport>, Opc, NoiseSource) {
+        let vom = Vom::new(VomConfig::paper_default()).unwrap();
+        let (mut serial_opc, mut parallel_opc) = (Opc::new(cfg).unwrap(), Opc::new(cfg).unwrap());
+        let mut serial_noise = NoiseSource::seeded(42, NoiseConfig::paper_default());
+        let mut parallel_noise = serial_noise.clone();
+        let serial = matvec(
+            &mut serial_opc,
+            &vom,
+            mapper,
+            matrix,
+            rows,
+            cols,
+            input,
+            &mut serial_noise,
+        );
+        let parallel = matvec_parallel(
+            &mut parallel_opc,
+            &vom,
+            mapper,
+            matrix,
+            rows,
+            cols,
+            input,
+            &mut parallel_noise,
+        );
+        assert_eq!(
+            serial, parallel,
+            "reports (or errors) must be bit-identical"
+        );
+        assert_eq!(serial_noise.next_epoch(), parallel_noise.next_epoch());
+        if serial.is_ok() {
+            assert_eq!(serial_opc, parallel_opc, "fabric exit state must match");
+        }
+        (parallel, parallel_opc, parallel_noise)
+    }
+
+    #[test]
+    fn staged_matvec_bit_identical_on_edge_weights() {
+        let _guard = crate::test_sync::thread_count_lock();
+        rayon::set_num_threads(3);
+        let cfg = OpcConfig {
+            banks: 2,
+            columns: 1,
+            awc_units: 10,
+            arm: ArmConfig::paper_default(),
+        };
+        // 6×23: every row ends in a ragged 5-weight chunk, and 18
+        // chunks wrap round the 10-arm fabric.
+        let (rows, cols) = (6, 23);
+        let input: Vec<f64> = (0..cols).map(|i| [0.022, 0.511, 1.0, 0.0][i % 4]).collect();
+        for mapper in [
+            WeightMapper::ideal(1).unwrap(),
+            WeightMapper::ideal(2).unwrap(),
+            WeightMapper::ideal(4).unwrap(),
+            WeightMapper::paper(3).unwrap(),
+        ] {
+            // Max-magnitude weights pin the scale at 1, so each weight
+            // below normalises to itself: signed zeros, full scale and
+            // the f32s on and around every quantisation half-step.
+            let levels = f64::from((1u16 << mapper.bits()) - 1);
+            let mut edge = vec![-0.0f32, 0.0, 1.0, -1.0];
+            for k in 0..(1u16 << mapper.bits()) - 1 {
+                let half = ((f64::from(k) + 0.5) / levels) as f32;
+                for w in [half, half.next_up(), half.next_down()] {
+                    edge.extend([w, -w]);
+                }
+            }
+            let matrix: Vec<f32> = (0..rows * cols)
+                .map(|i| edge.get(i).copied().unwrap_or((i as f32 * 0.13).sin()))
+                .collect();
+            let (first, mut opc, mut noise) =
+                assert_engines_agree(cfg, &mapper, &matrix, rows, cols, &input);
+            assert!(first.is_ok(), "{first:?}");
+
+            // Staged once, evaluated twice: each call equals a serial
+            // call on the fabric and epoch it starts from.
+            let vom = Vom::new(VomConfig::paper_default()).unwrap();
+            let staged = StagedMatrix::new(&opc, &mapper, &matrix, rows, cols).unwrap();
+            for _ in 0..2 {
+                let (mut serial_opc, mut serial_noise) = (opc.clone(), noise.clone());
+                let serial = matvec(
+                    &mut serial_opc,
+                    &vom,
+                    &mapper,
+                    &matrix,
+                    rows,
+                    cols,
+                    &input,
+                    &mut serial_noise,
+                )
+                .unwrap();
+                let report = staged.matvec(&mut opc, &vom, &input, &mut noise).unwrap();
+                assert_eq!(serial, report);
+                assert_eq!(serial_opc, opc);
+                assert_eq!(serial_noise.next_epoch(), noise.next_epoch());
+            }
+            // A fabric of another arm design is refused, not evaluated.
+            let mut other = Opc::new(OpcConfig {
+                arm: ArmConfig::no_crosstalk(),
+                ..cfg
+            })
+            .unwrap();
+            assert!(matches!(
+                staged.matvec(&mut other, &vom, &input, &mut noise),
+                Err(CoreError::InvalidParameter(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn staging_errors_match_serial_and_leave_the_engine_usable() {
+        use oisa_device::awc::{AwcLadder, AwcModel, AwcParams};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let cfg = OpcConfig {
+            banks: 2,
+            columns: 1,
+            awc_units: 10,
+            arm: ArmConfig::paper_default(),
+        };
+        let (rows, cols) = (4, 20);
+        let input = vec![0.511f64; cols];
+        let good: Vec<f32> = (0..rows * cols).map(|i| (i as f32 * 0.29).cos()).collect();
+
+        // A NaN in row 2, chunk 1 — after an untunable-free prefix.
+        let mapper = WeightMapper::ideal(4).unwrap();
+        let mut nan = good.clone();
+        nan[2 * cols + 11] = f32::NAN;
+        let (err, mut opc, mut noise) =
+            assert_engines_agree(cfg, &mapper, &nan, rows, cols, &input);
+        assert!(matches!(err, Err(CoreError::Substrate(_))), "{err:?}");
+        // The failed call consumed its epoch, as the serial engine's
+        // does; the next call equals a fresh engine's at that epoch.
+        let vom = Vom::new(VomConfig::paper_default()).unwrap();
+        let mut fresh_opc = Opc::new(cfg).unwrap();
+        let mut fresh_noise = NoiseSource::seeded(42, NoiseConfig::paper_default());
+        fresh_noise.begin_epoch().unwrap();
+        let run = |opc: &mut Opc, noise: &mut NoiseSource| {
+            matvec_parallel(opc, &vom, &mapper, &good, rows, cols, &input, noise).unwrap()
+        };
+        assert_eq!(
+            run(&mut opc, &mut noise),
+            run(&mut fresh_opc, &mut fresh_noise)
+        );
+        assert_eq!(opc, fresh_opc);
+
+        // An untunable code: a mismatched ladder whose top code
+        // overshoots full scale. Full-scale weights (code 3) sit in
+        // row 1 only; a NaN later in the same chunk wins, as in
+        // `load_weights`.
+        let params = AwcParams {
+            bits: 2,
+            model: AwcModel::Mismatch {
+                leg_sigma: 0.4,
+                compression: 0.0,
+            },
+            ..AwcParams::paper_default()
+        };
+        let mapper = (0..64)
+            .map(|seed| {
+                let ladder = AwcLadder::fabricate(params, &mut StdRng::seed_from_u64(seed));
+                WeightMapper::from_ladder(ladder.unwrap()).unwrap()
+            })
+            .find(|m| {
+                m.levels()[3] > 1.1 && m.levels()[1..3].iter().all(|l| (0.0..1.0).contains(l))
+            })
+            .expect("some seed overshoots the top code only");
+        let mut untunable = vec![0.3f32; rows * cols];
+        untunable[cols + 12] = 1.0;
+        let (err, _, _) = assert_engines_agree(cfg, &mapper, &untunable, rows, cols, &input);
+        assert!(matches!(err, Err(CoreError::Substrate(_))), "{err:?}");
+        untunable[cols + 15] = f32::NAN;
+        let (err, _, _) = assert_engines_agree(cfg, &mapper, &untunable, rows, cols, &input);
+        assert!(err.unwrap_err().to_string().contains("NaN"));
     }
 
     #[test]

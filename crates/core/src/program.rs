@@ -14,11 +14,13 @@
 //!   re-modulation, [`oisa_nn::quantize::TernaryActivation`]) or
 //!   [`QuantizeKind::Levels`] (a signed nearest-level quantiser,
 //!   [`oisa_nn::quantize::LevelQuantizer`]).
-//! * [`Stage::Dense`] — a fully connected layer on the fabric via
-//!   [`crate::mlp::matvec_parallel`]: at stage 0 the frame is sensed
-//!   and ternary-encoded first ([`OisaAccelerator::dense_layer`]);
-//!   mid-program the predecessor's `[0, 1]` activations drive the arms
-//!   directly ([`OisaAccelerator::dense_vector`]).
+//! * [`Stage::Dense`] — a fully connected layer on the fabric, staged
+//!   once per run ([`crate::mlp::StagedMatrix`], see
+//!   [`OisaAccelerator::run_program_frames`]) and evaluated per frame:
+//!   at stage 0 the frame is sensed and ternary-encoded first (as
+//!   [`OisaAccelerator::dense_layer`] does); mid-program the
+//!   predecessor's `[0, 1]` activations drive the arms directly (as
+//!   [`OisaAccelerator::dense_vector`] does).
 //! * [`Stage::Activation`] — an elementwise non-linearity
 //!   (currently [`ActivationKind::Relu`], matching
 //!   [`oisa_nn::layer::Relu`] bit-for-bit).
@@ -76,7 +78,7 @@ use oisa_sensor::frame::Frame;
 use serde::{Deserialize, Serialize};
 
 use crate::accelerator::{ConvolutionReport, OisaAccelerator, OisaConfig};
-use crate::mlp::MatVecReport;
+use crate::mlp::{MatVecReport, StagedMatrix};
 use crate::{CoreError, Result};
 
 /// The quantiser a [`Stage::Quantize`] applies, elementwise.
@@ -430,8 +432,38 @@ impl OisaAccelerator {
         Ok(())
     }
 
+    /// Runs `program` over `frames` on this accelerator: one
+    /// [`OisaAccelerator::prewarm_program`], every dense stage staged
+    /// once ([`crate::mlp::StagedMatrix`]), then the frames in order.
+    ///
+    /// Bit-identical to `prewarm_program` followed by a per-frame
+    /// [`OisaAccelerator::run_program_frame`] loop, which re-stages
+    /// every dense matrix on every frame. The local backend, shard
+    /// workers and [`run_reference`] all run programs through here.
+    ///
+    /// # Errors
+    ///
+    /// As [`OisaAccelerator::prewarm_program`]; staging errors before
+    /// any frame runs (so no noise epoch is consumed); then the first
+    /// frame's error, as [`OisaAccelerator::run_program_frame`].
+    pub fn run_program_frames(
+        &mut self,
+        program: &LayerProgram,
+        frames: &[Frame],
+    ) -> Result<Vec<ProgramFrameReport>> {
+        self.prewarm_program(program)?;
+        let staged = self.stage_program(program)?;
+        frames
+            .iter()
+            .map(|frame| self.run_staged_frame(program, &staged, frame))
+            .collect()
+    }
+
     /// Executes `program` on one captured frame, stage by stage,
-    /// returning the per-stage trace and the final output vector.
+    /// returning the per-stage trace and the final output vector — the
+    /// one-frame case of [`OisaAccelerator::run_program_frames`]
+    /// (without its prewarm): dense stages are staged for this frame
+    /// alone.
     ///
     /// Optical stages each consume one noise epoch
     /// ([`LayerProgram::epochs_per_frame`] in total); elementwise
@@ -442,16 +474,45 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// Program validation errors; sensing, shape and fabric failures
-    /// from the optical stages.
+    /// Program validation and shape errors; staging errors; sensing,
+    /// shape and fabric failures from the optical stages.
     pub fn run_program_frame(
         &mut self,
         program: &LayerProgram,
         frame: &Frame,
     ) -> Result<ProgramFrameReport> {
-        program.validate()?;
+        let staged = self.stage_program(program)?;
+        self.run_staged_frame(program, &staged, frame)
+    }
+
+    /// Stages every dense stage of `program` for imager-sized frames,
+    /// in stage order (checking every shape first).
+    fn stage_program<'p>(&self, program: &'p LayerProgram) -> Result<Vec<StagedMatrix<'p>>> {
+        let (width, height) = (self.config().imager.width, self.config().imager.height);
+        let lens = program.output_lens(width, height)?;
+        let mut staged = Vec::new();
+        let mut cols = width * height;
+        for (stage, &len) in program.stages.iter().zip(&lens) {
+            if let Stage::Dense { rows, matrix } = stage {
+                staged.push(self.stage_dense(matrix, *rows, cols)?);
+            }
+            cols = len;
+        }
+        Ok(staged)
+    }
+
+    /// One frame through `program`, with its dense stages already
+    /// staged (`staged`, in stage order, as
+    /// [`OisaAccelerator::stage_program`] returns them).
+    fn run_staged_frame(
+        &mut self,
+        program: &LayerProgram,
+        staged: &[StagedMatrix<'_>],
+        frame: &Frame,
+    ) -> Result<ProgramFrameReport> {
         let mut stages = Vec::with_capacity(program.stages.len());
         let mut values: Vec<f32> = Vec::new();
+        let mut dense = staged.iter();
         for (i, stage) in program.stages.iter().enumerate() {
             match stage {
                 Stage::Conv { k, kernels } => {
@@ -459,13 +520,16 @@ impl OisaAccelerator {
                     values = report.output.concat();
                     stages.push(StageReport::Conv(report));
                 }
-                Stage::Dense { rows, matrix } => {
-                    let report = if i == 0 {
-                        self.dense_layer(frame, matrix, *rows)?
+                Stage::Dense { .. } => {
+                    let matrix = dense.next().ok_or_else(|| {
+                        CoreError::InvalidParameter(format!("stage {i}: dense stage not staged"))
+                    })?;
+                    let input = if i == 0 {
+                        self.sense_optical(frame)?
                     } else {
-                        let input: Vec<f64> = values.iter().map(|&v| f64::from(v)).collect();
-                        self.dense_vector(&input, matrix, *rows)?
+                        values.iter().map(|&v| f64::from(v)).collect()
                     };
+                    let report = self.dense_staged(matrix, &input)?;
                     values.clone_from(&report.output);
                     stages.push(StageReport::Dense(report));
                 }
@@ -516,11 +580,7 @@ pub fn run_reference(
 ) -> Result<Vec<ProgramFrameReport>> {
     let mut accel = OisaAccelerator::new(*config)?;
     accel.align_noise_epoch(base_epoch)?;
-    accel.prewarm_program(program)?;
-    frames
-        .iter()
-        .map(|frame| accel.run_program_frame(program, frame))
-        .collect()
+    accel.run_program_frames(program, frames)
 }
 
 #[cfg(test)]
@@ -686,6 +746,77 @@ mod tests {
             }
             assert_eq!(p.output, b.output.concat());
         }
+    }
+
+    #[test]
+    fn run_program_frames_matches_a_per_frame_loop_over_two_dense_stages() {
+        let _guard = crate::test_sync::thread_count_lock();
+        rayon::set_num_threads(3);
+        let program = LayerProgram::new(vec![
+            Stage::Dense {
+                rows: 12,
+                matrix: (0..12 * 256).map(|i| (i as f32 * 0.37).sin()).collect(),
+            },
+            Stage::Quantize(QuantizeKind::Ternary),
+            Stage::Dense {
+                rows: 5,
+                matrix: (0..5 * 12).map(|i| (i as f32 * 0.71).cos()).collect(),
+            },
+        ])
+        .unwrap();
+        let frames: Vec<Frame> = (0..3).map(frame).collect();
+        let mut staged = OisaAccelerator::new(cfg()).unwrap();
+        let reports = staged.run_program_frames(&program, &frames).unwrap();
+        let mut looped = OisaAccelerator::new(cfg()).unwrap();
+        looped.prewarm_program(&program).unwrap();
+        let per_frame: Vec<ProgramFrameReport> = frames
+            .iter()
+            .map(|f| looped.run_program_frame(&program, f).unwrap())
+            .collect();
+        assert_eq!(reports, per_frame);
+        assert_eq!(staged.next_noise_epoch(), looped.next_noise_epoch());
+        // Same fabric exit state: tuning cost of the next load agrees.
+        let kernels = [vec![0.4f32; 9], vec![-0.7f32; 9]];
+        assert_eq!(
+            staged.convolve_frame(&frame(7), &kernels, 3).unwrap(),
+            looped.convolve_frame(&frame(7), &kernels, 3).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_staging_error_leaves_the_accelerator_usable() {
+        let good = LayerProgram::autoencoder(16, 16, 2, 4, 5).unwrap();
+        let mut bad = good.clone();
+        if let Stage::Dense { matrix, .. } = &mut bad.stages[2] {
+            matrix[3] = f32::NAN;
+        }
+        let frames: Vec<Frame> = (0..2).map(frame).collect();
+        let mut accel = OisaAccelerator::new(cfg()).unwrap();
+        let err = accel.run_program_frames(&bad, &frames).unwrap_err();
+        assert!(err.to_string().contains("NaN"), "{err}");
+        assert_eq!(accel.next_noise_epoch(), 0, "staging runs before any frame");
+        let mut fresh = OisaAccelerator::new(cfg()).unwrap();
+        assert_eq!(
+            accel.run_program_frames(&good, &frames).unwrap(),
+            fresh.run_program_frames(&good, &frames).unwrap()
+        );
+
+        // The one-call dense path fails like the serial engine (its
+        // epoch consumed), and its next call equals a fresh
+        // accelerator's at the same epoch.
+        let input = [0.511f64; 8];
+        let mut matrix: Vec<f32> = (0..3 * 8).map(|i| (i as f32 * 0.5).sin()).collect();
+        matrix[9] = f32::NAN;
+        let before = accel.next_noise_epoch();
+        assert!(accel.dense_vector(&input, &matrix, 3).is_err());
+        assert_eq!(accel.next_noise_epoch(), before + 1);
+        matrix[9] = 0.25;
+        let mut fresh = OisaAccelerator::new(cfg()).unwrap();
+        fresh.align_noise_epoch(before + 1).unwrap();
+        assert_eq!(
+            accel.dense_vector(&input, &matrix, 3).unwrap(),
+            fresh.dense_vector(&input, &matrix, 3).unwrap()
+        );
     }
 
     #[test]

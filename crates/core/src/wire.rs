@@ -610,11 +610,25 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    fn f32(&mut self, v: f32) {
-        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
     fn f64(&mut self, v: f64) {
         self.0.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    /// Appends a run of `f32`s in one pass: one resize, then each
+    /// value's little-endian bytes into its own 4-byte slot.
+    fn f32s(&mut self, values: &[f32]) {
+        let start = self.0.len();
+        self.0.resize(start + 4 * values.len(), 0);
+        for (out, v) in self.0[start..].chunks_exact_mut(4).zip(values) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+    /// [`Writer::f32s`] for `f64`s (8-byte slots).
+    fn f64s(&mut self, values: &[f64]) {
+        let start = self.0.len();
+        self.0.resize(start + 8 * values.len(), 0);
+        for (out, v) in self.0[start..].chunks_exact_mut(8).zip(values) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
     }
     /// Writes a collection length (`u32`); lengths beyond `u32::MAX`
     /// cannot occur for in-memory `Vec`s we build, but saturating would
@@ -665,15 +679,27 @@ impl<'a> Reader<'a> {
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_bits(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        )))
-    }
     fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         )))
+    }
+    /// Reads `n` little-endian `f32`s in one pass: one bounds check for
+    /// the whole run, then a 4-byte chunk per value.
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>> {
+        let bytes = self.take(n.saturating_mul(4))?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
+    }
+    /// [`Reader::f32s`] for `f64`s (8-byte chunks).
+    fn f64s(&mut self, n: usize) -> Result<Vec<f64>> {
+        let bytes = self.take(n.saturating_mul(8))?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .collect())
     }
 
     /// Reads a collection length and sanity-checks it against the bytes
@@ -714,14 +740,12 @@ impl<'a> Reader<'a> {
 
 fn put_f32s(w: &mut Writer, values: &[f32]) {
     w.len(values.len());
-    for &v in values {
-        w.f32(v);
-    }
+    w.f32s(values);
 }
 
 fn get_f32s(r: &mut Reader<'_>) -> Result<Vec<f32>> {
     let n = r.len(4)?;
-    (0..n).map(|_| r.f32()).collect()
+    r.f32s(n)
 }
 
 fn put_kernels(w: &mut Writer, kernels: &[Vec<f32>]) {
@@ -739,9 +763,7 @@ fn get_kernels(r: &mut Reader<'_>) -> Result<Vec<Vec<f32>>> {
 fn put_frame(w: &mut Writer, frame: &Frame) {
     w.u32(u32::try_from(frame.width()).expect("frame width exceeds u32"));
     w.u32(u32::try_from(frame.height()).expect("frame height exceeds u32"));
-    for &v in frame.as_slice() {
-        w.f64(v);
-    }
+    w.f64s(frame.as_slice());
 }
 
 fn get_frame(r: &mut Reader<'_>) -> Result<Frame> {
@@ -750,15 +772,7 @@ fn get_frame(r: &mut Reader<'_>) -> Result<Frame> {
     let pixels = width.checked_mul(height).ok_or_else(|| {
         WireError::Malformed(format!("frame {width}x{height} overflows a pixel count"))
     })?;
-    let available = r.buf.len() - r.pos;
-    let needed = pixels.saturating_mul(8);
-    if needed > available {
-        return Err(WireError::Truncated {
-            needed: needed - available,
-            available,
-        });
-    }
-    let data: Vec<f64> = (0..pixels).map(|_| r.f64()).collect::<Result<_>>()?;
+    let data = r.f64s(pixels)?;
     Frame::new(width, height, data)
         .map_err(|e| WireError::Malformed(format!("frame rejected: {e}")))
 }

@@ -25,12 +25,19 @@
 //!
 //! # The one MAC kernel
 //!
-//! Every convolution engine evaluates one output position at a time
-//! through [`ArmSnapshot::mac_indexed`]: scalar SplitMix64 mixing per draw
-//! ([`NoiseStream::gaussian_at`]), `activation == 0` skipped by an
-//! early `continue`. A zero's counters are positional (element `i`
-//! always owns `base + 2i`/`base + 2i + 1`), so skipping draws is
-//! bit-identical to drawing and multiplying by zero.
+//! Every engine, convolution and dense alike, evaluates through one
+//! counter-addressed kernel (`mac_indexed_core`): scalar SplitMix64
+//! mixing per draw ([`NoiseStream::gaussian_at`]), `activation == 0`
+//! skipped by an early `continue`. A zero's counters are positional
+//! (element `i` always owns `base + 2i`/`base + 2i + 1`), so skipping
+//! draws is bit-identical to drawing and multiplying by zero. The
+//! convolution engines reach it through [`ArmSnapshot::mac_indexed`],
+//! one output position at a time; the dense path through
+//! [`ArmStager::mac_indexed`], one staged chunk at a time, with the
+//! kernel's full [`MacResult`] (raw detector current included). The
+//! cursor-driven `mac_core` behind [`Arm::mac`] and [`ArmSnapshot::mac`]
+//! serves general [`NoiseModel`]s and the serial oracles; both kernels
+//! produce the same bits for the same stream.
 //!
 //! Measured on the bench host (Skylake-SP-class, paper noise config,
 //! `cargo bench -p oisa_bench`): a 9-tap MAC runs ≈ 80–110 ns and the
@@ -122,8 +129,8 @@ pub struct MacResult {
 /// A snapshot is what lets evaluation outlive fabric mutation: the
 /// batched convolution engine snapshots every pass's arms before the
 /// next pass re-tunes the same physical rings. (The dense path, which
-/// stages a fresh chunk per evaluation, uses the code-indexed
-/// [`ArmStager`] instead.) Both MAC entry points are bit-identical to
+/// evaluates staged weight codes, uses the code-indexed [`ArmStager`]
+/// instead.) Both MAC entry points are bit-identical to
 /// their [`Arm`] counterparts — they share the same inner evaluation,
 /// not a re-implementation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,17 +157,18 @@ impl ArmSnapshot {
     #[must_use]
     pub fn mac_indexed(&self, activations: &[f64], stream: &NoiseStream, base: u64) -> (f64, f64) {
         debug_assert!(activations.len() <= self.weights.len());
-        mac_indexed_core(
+        let r = mac_indexed_core(
             &self.weights,
             &self.ring_gain,
             &self.detector,
             self.per_channel_full,
             self.channel_power,
-            self.dwell.get(),
+            self.dwell,
             activations,
             stream,
             base,
-        )
+        );
+        (r.value, r.optical_energy.get())
     }
 
     /// General MAC through any [`NoiseModel`] — bit-identical to
@@ -184,9 +192,45 @@ impl ArmSnapshot {
     }
 }
 
-/// Code-indexed staging for one arm design: evaluates a weight chunk
-/// exactly as [`Arm::load_weights`] followed by [`ArmSnapshot::mac`]
-/// would, with table lookups in place of ring tuning.
+/// Distinct weight codes an [`ArmStager`] tables: the AWC resolves at
+/// most 4 bits (`AwcParams` rejects wider ladders), so 16 codes.
+const MAX_CODES: usize = 16;
+
+/// One weight staged for an arm in one byte: its AWC code in the low
+/// four bits and its sign (which waveguide it sits on) in the top bit.
+///
+/// Only [`ArmStager::stage`] builds codes other than the default
+/// (code 0, positive), and only for codes its stager can tune: evaluate
+/// a staged code with the stager that staged it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StagedCode(u8);
+
+impl StagedCode {
+    const NEGATIVE: u8 = 0x80;
+    const CODE: u8 = 0x0F;
+
+    /// The AWC code.
+    #[must_use]
+    pub fn code(self) -> u16 {
+        u16::from(self.0 & Self::CODE)
+    }
+
+    /// `true` → negative waveguide.
+    #[must_use]
+    pub fn negative(self) -> bool {
+        self.0 & Self::NEGATIVE != 0
+    }
+
+    /// Index into the stager's per-code tables (always `< MAX_CODES`).
+    fn index(self) -> usize {
+        usize::from(self.0 & Self::CODE)
+    }
+}
+
+/// Code-indexed staging for one arm design: quantises weight chunks to
+/// [`StagedCode`]s once, and evaluates staged chunks exactly as
+/// [`Arm::load_weights`] followed by [`ArmSnapshot::mac_indexed`] would,
+/// with table lookups in place of ring tuning.
 ///
 /// The lookup is exact because a ring's state after a load depends
 /// only on its code: the AWC maps the code to one magnitude
@@ -202,12 +246,16 @@ impl ArmSnapshot {
 /// Evaluation is allocation-free and touches no [`Arm`]: any number of
 /// threads can share one stager.
 #[derive(Debug, Clone)]
-pub struct ArmStager<'m> {
-    mapper: &'m WeightMapper,
+pub struct ArmStager {
+    mapper: WeightMapper,
+    /// Per code: the effective magnitude the ring transmits.
+    magnitude: [f64; MAX_CODES],
     /// Per code: the crosstalk factors `[left, right]` a ring holding
     /// that code applies to the channel after and before its own (both
-    /// `1.0` with crosstalk off), or the error tuning to it raises.
-    codes: Vec<Result<[f64; 2]>>,
+    /// `1.0` with crosstalk off).
+    crosstalk: [[f64; 2]; MAX_CODES],
+    /// Per code: the error tuning a ring to it raises, if any.
+    untunable: Vec<Option<OpticsError>>,
     path_transmission: f64,
     detector: BalancedPhotodetector,
     per_channel_full: f64,
@@ -215,51 +263,88 @@ pub struct ArmStager<'m> {
     dwell: Second,
 }
 
-impl ArmStager<'_> {
-    /// Quantises `weights` onto the arm and evaluates them against
-    /// `activations` — bit-identical, result and error alike, to
-    /// [`Arm::load_weights`] then [`ArmSnapshot::mac`] on a fresh
-    /// [`Arm`] of the same design.
+impl ArmStager {
+    /// The mapper this stager quantises through.
+    #[must_use]
+    pub fn mapper(&self) -> &WeightMapper {
+        &self.mapper
+    }
+
+    /// Quantises one chunk of `weights` into `out` (same length), with
+    /// the errors [`Arm::load_weights`] would raise for it, in its
+    /// order.
     ///
     /// # Errors
     ///
-    /// In `load_weights`' order: [`OpticsError::CapacityExceeded`] for
-    /// more than [`RINGS_PER_ARM`] weights, the first out-of-range or
-    /// non-finite weight, the first ring whose code cannot be tuned;
-    /// then [`Arm::mac`]'s activation errors.
-    pub fn mac<N: NoiseModel>(
+    /// [`OpticsError::CapacityExceeded`] for more than
+    /// [`RINGS_PER_ARM`] weights; [`OpticsError::InvalidParameter`]
+    /// when `out` is not `weights.len()` long; then the first
+    /// out-of-range or non-finite weight; then the first ring whose
+    /// code cannot be tuned.
+    pub fn stage(&self, weights: &[f64], out: &mut [StagedCode]) -> Result<()> {
+        check_capacity(weights.len())?;
+        if out.len() != weights.len() {
+            return Err(OpticsError::InvalidParameter(format!(
+                "{} staged codes for {} weights",
+                out.len(),
+                weights.len()
+            )));
+        }
+        for (slot, &w) in out.iter_mut().zip(weights) {
+            let m = self.mapper.quantize(w)?;
+            let sign = if m.negative { StagedCode::NEGATIVE } else { 0 };
+            // `quantize` returns codes below 2^bits ≤ MAX_CODES.
+            *slot = StagedCode(sign | (m.code as u8 & StagedCode::CODE));
+        }
+        for code in out.iter() {
+            if let Some(Some(err)) = self.untunable.get(code.index()) {
+                return Err(err.clone());
+            }
+        }
+        Ok(())
+    }
+
+    /// Evaluates a staged chunk against `activations` through the
+    /// counter-addressed kernel [`ArmSnapshot::mac_indexed`] runs —
+    /// bit-identical, [`MacResult`] field for field, to
+    /// [`Arm::load_weights`] of the chunk's weights then
+    /// [`ArmSnapshot::mac`] over a [`oisa_device::noise::StreamCursor`]
+    /// on `stream` (for `base` 0).
+    ///
+    /// Activations must already be validated to `[0, 1]` by the caller,
+    /// as for [`ArmSnapshot::mac_indexed`]; at most [`RINGS_PER_ARM`]
+    /// codes are read.
+    #[must_use]
+    pub fn mac_indexed(
         &self,
-        weights: &[f64],
+        codes: &[StagedCode],
         activations: &[f64],
-        noise: &mut N,
-    ) -> Result<MacResult> {
-        let n = weights.len();
-        check_capacity(n)?;
-        let mut mapped = [MappedWeight {
-            code: 0,
-            magnitude: 0.0,
-            negative: false,
-        }; RINGS_PER_ARM];
-        for (slot, &w) in mapped.iter_mut().zip(weights) {
-            *slot = self.mapper.quantize(w)?;
-        }
-        let mut factors = [[1.0f64; 2]; RINGS_PER_ARM];
-        for (f, m) in factors.iter_mut().zip(&mapped[..n]) {
-            *f = self.codes[usize::from(m.code)].clone()?;
-        }
-        let mut ring_gain = [0.0f64; RINGS_PER_ARM];
-        for (i, gain) in ring_gain[..n].iter_mut().enumerate() {
+        stream: &NoiseStream,
+        base: u64,
+    ) -> MacResult {
+        let n = codes.len().min(RINGS_PER_ARM);
+        let code = |i: usize| codes.get(i).copied().unwrap_or_default();
+        let mapped: [MappedWeight; RINGS_PER_ARM] = std::array::from_fn(|i| {
+            let c = code(i);
+            MappedWeight {
+                code: c.code(),
+                magnitude: self.magnitude[c.index()],
+                negative: c.negative(),
+            }
+        });
+        // `load_weights`' multiply order: left neighbour, right
+        // neighbour, then the waveguide.
+        let ring_gain: [f64; RINGS_PER_ARM] = std::array::from_fn(|i| {
             let mut xt = 1.0;
             if i > 0 {
-                xt *= factors[i - 1][0];
+                xt *= self.crosstalk[code(i - 1).index()][0];
             }
             if i + 1 < n {
-                xt *= factors[i + 1][1];
+                xt *= self.crosstalk[code(i + 1).index()][1];
             }
-            *gain = xt * self.path_transmission;
-        }
-        validate_activation_window(n, activations)?;
-        Ok(mac_core(
+            xt * self.path_transmission
+        });
+        mac_indexed_core(
             &mapped[..n],
             &ring_gain[..n],
             &self.detector,
@@ -267,8 +352,9 @@ impl ArmStager<'_> {
             self.channel_power,
             self.dwell,
             activations,
-            noise,
-        ))
+            stream,
+            base,
+        )
     }
 }
 
@@ -471,27 +557,38 @@ impl Arm {
     /// codes: one ring tuning per code, once, instead of ten per
     /// evaluated chunk. The arm's own rings and weights are untouched.
     #[must_use]
-    pub fn stager<'m>(&self, mapper: &'m WeightMapper) -> ArmStager<'m> {
+    pub fn stager(&self, mapper: &WeightMapper) -> ArmStager {
         let spacing = self.plan.spacing();
         let mut ring = self.rings[0].clone();
-        let codes = mapper
+        let mut magnitude = [0.0f64; MAX_CODES];
+        let mut crosstalk = [[1.0f64; 2]; MAX_CODES];
+        let mut untunable = Vec::with_capacity(MAX_CODES);
+        for ((&level, m), xt) in mapper
             .levels()
             .iter()
-            .map(|&magnitude| {
-                let detuning = ring.detuning_for_transmission(tuning_target(&ring, magnitude))?;
-                if !self.config.crosstalk {
-                    return Ok([1.0, 1.0]);
+            .zip(&mut magnitude)
+            .zip(&mut crosstalk)
+        {
+            *m = level;
+            match ring.detuning_for_transmission(tuning_target(&ring, level)) {
+                Ok(detuning) => {
+                    if self.config.crosstalk {
+                        ring.apply_detuning(detuning);
+                        *xt = [
+                            ring.crosstalk_transmission(spacing),
+                            ring.crosstalk_transmission(-spacing),
+                        ];
+                    }
+                    untunable.push(None);
                 }
-                ring.apply_detuning(detuning);
-                Ok([
-                    ring.crosstalk_transmission(spacing),
-                    ring.crosstalk_transmission(-spacing),
-                ])
-            })
-            .collect();
+                Err(err) => untunable.push(Some(err.into())),
+            }
+        }
         ArmStager {
-            mapper,
-            codes,
+            mapper: mapper.clone(),
+            magnitude,
+            crosstalk,
+            untunable,
             path_transmission: self.path_transmission,
             detector: self.detector,
             per_channel_full: self.per_channel_full,
@@ -508,10 +605,10 @@ impl Arm {
     /// [`NoiseStream::gaussian_at`] and folds into rail lane
     /// `i mod LANES` (a zero activation is skipped: it would contribute
     /// an exact `+0.0`, and its counters stay addressed to it, so
-    /// skipping it changes no output bit), and no [`MacResult`] is
-    /// built.
+    /// skipping it changes no output bit).
     ///
-    /// Returns `(value, optical_energy_joules)`. Activations must
+    /// Returns only `(value, optical_energy_joules)` of the kernel's
+    /// result. Activations must
     /// already be validated to `[0, 1]` by the caller — the accelerator
     /// validates each encoded frame once instead of once per window.
     ///
@@ -521,17 +618,18 @@ impl Arm {
     #[must_use]
     pub fn mac_indexed(&self, activations: &[f64], stream: &NoiseStream, base: u64) -> (f64, f64) {
         debug_assert!(activations.len() <= self.weights.len());
-        mac_indexed_core(
+        let r = mac_indexed_core(
             &self.weights,
             &self.ring_gain,
             &self.detector,
             self.per_channel_full,
             self.config.channel_power.get(),
-            self.dwell.get(),
+            self.dwell,
             activations,
             stream,
             base,
-        )
+        );
+        (r.value, r.optical_energy.get())
     }
 
     /// Counter stride one MAC of `m` activations consumes on a stream:
@@ -678,8 +776,8 @@ fn tuning_target(ring: &Microring, magnitude: f64) -> f64 {
     floor + (0.95 - floor) * magnitude
 }
 
-/// The general MAC evaluation shared bit-for-bit by [`Arm::mac`],
-/// [`ArmSnapshot::mac`] and [`ArmStager::mac`]: VCSEL RIN → ring
+/// The general MAC evaluation shared bit-for-bit by [`Arm::mac`] and
+/// [`ArmSnapshot::mac`]: VCSEL RIN → ring
 /// transmission (with drift) → precomputed per-ring gain → rail
 /// accumulation → BPD subtraction with detector noise → loss-normalised
 /// signed result.
@@ -737,10 +835,12 @@ fn reduce_lanes(acc: [f64; LANES]) -> f64 {
 }
 
 /// The fused counter-addressed MAC shared bit-for-bit by
-/// [`Arm::mac_indexed`] and [`ArmSnapshot::mac_indexed`]: channel `i`
-/// draws counters `base + 2i` / `base + 2i + 1`, the detector draws
-/// `base + 2m` where `m = activations.len()` — including when the
-/// activation window is shorter than the loaded weights.
+/// [`Arm::mac_indexed`], [`ArmSnapshot::mac_indexed`] (convolution) and
+/// [`ArmStager::mac_indexed`] (dense): channel `i` draws counters
+/// `base + 2i` / `base + 2i + 1`, the detector draws `base + 2m` where
+/// `m = activations.len()` — including when the activation window is
+/// shorter than the loaded weights. It returns the whole [`MacResult`];
+/// the convolution entry points keep only value and energy.
 ///
 /// Element `i` accumulates into rail lane `i mod LANES` and the lanes
 /// reduce through [`reduce_lanes`] — the canonical fold every MAC path
@@ -753,22 +853,27 @@ fn reduce_lanes(acc: [f64; LANES]) -> f64 {
 /// and discarding (a zero's contribution is an exact `±0.0` into a
 /// non-negative accumulator, which can never change its bits).
 ///
+/// Always inlined, so each entry point compiles its own copy: the
+/// convolution entry points keep only value and energy, and the fields
+/// they drop (raw current, latency) cost them nothing.
+///
 /// The per-element draws stay deliberately scalar: paper-shaped
 /// windows (9 taps on a 10-ring arm) are too short for batched mixing
 /// to pay, because the batched multiply chain's latency lands on the
 /// critical path, where the scalar interleaving hides it.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn mac_indexed_core(
     weights: &[MappedWeight],
     ring_gain: &[f64],
     detector: &BalancedPhotodetector,
     per_channel_full: f64,
     channel_power_w: f64,
-    dwell_s: f64,
+    dwell: Second,
     activations: &[f64],
     stream: &NoiseStream,
     base: u64,
-) -> (f64, f64) {
+) -> MacResult {
     let m = activations.len();
     // Historical zip semantics: evaluate only elements that have a
     // loaded weight, but keep full-scale and the detector counter on
@@ -800,7 +905,12 @@ fn mac_indexed_core(
     let diff = detector.difference_current(Watt::new(p_pos), Watt::new(p_neg));
     let full_scale = per_channel_full * m.max(1) as f64;
     let noisy = stream.detector_at(base + 2 * m as u64, diff.get(), full_scale);
-    (noisy / per_channel_full, (p_pos + p_neg) * dwell_s)
+    MacResult {
+        value: noisy / per_channel_full,
+        raw_current: noisy,
+        latency: dwell,
+        optical_energy: Watt::new(p_pos + p_neg) * dwell,
+    }
 }
 
 #[cfg(test)]
@@ -1073,7 +1183,12 @@ mod tests {
                     let stream = source.stream(0, n as u64, 3);
                     arm.load_weights(&w, &mapper).unwrap();
                     let loaded = arm.snapshot().mac(&a, &mut stream.cursor()).unwrap();
-                    let staged = stager.mac(&w, &a, &mut stream.cursor()).unwrap();
+                    let mut codes = vec![StagedCode::default(); n];
+                    stager.stage(&w, &mut codes).unwrap();
+                    for (code, m) in codes.iter().zip(arm.weights()) {
+                        assert_eq!((code.code(), code.negative()), (m.code, m.negative));
+                    }
+                    let staged = stager.mac_indexed(&codes, &a, &stream, 0);
                     assert_eq!(loaded.value.to_bits(), staged.value.to_bits(), "n={n}");
                     assert_eq!(
                         loaded.raw_current.to_bits(),
@@ -1096,19 +1211,19 @@ mod tests {
         let mapper = WeightMapper::ideal(4).unwrap();
         let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
         let stager = arm.stager(&mapper);
-        let cases: [(&[f64], &[f64]); 4] = [
-            (&[0.1; RINGS_PER_ARM + 1], &[0.5; 3]),
-            (&[0.1, 1.5, f64::NAN], &[0.5; 3]),
-            (&[0.1, f64::NAN], &[0.5; 2]),
-            (&[0.1, 0.2], &[0.5, 1.2]),
+        let cases: [&[f64]; 3] = [
+            &[0.1; RINGS_PER_ARM + 1],
+            &[0.1, 1.5, f64::NAN],
+            &[0.1, f64::NAN],
         ];
-        for (w, a) in cases {
-            let expected = arm
-                .load_weights(w, &mapper)
-                .and_then(|()| arm.snapshot().mac(a, &mut quiet()))
-                .unwrap_err();
-            assert_eq!(stager.mac(w, a, &mut quiet()).unwrap_err(), expected);
+        for w in cases {
+            let expected = arm.load_weights(w, &mapper).unwrap_err();
+            let mut codes = vec![StagedCode::default(); w.len()];
+            assert_eq!(stager.stage(w, &mut codes).unwrap_err(), expected);
         }
+        // A code buffer of the wrong length is refused, not truncated.
+        let mut short = [StagedCode::default(); 1];
+        assert!(stager.stage(&[0.1, 0.2], &mut short).is_err());
     }
 
     #[test]
@@ -1139,14 +1254,21 @@ mod tests {
         let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
         let stager = arm.stager(&mapper);
         let a = [1.0; 3];
-        let bad = [0.3, 1.0, 0.7];
-        let expected = arm.load_weights(&bad, &mapper).unwrap_err();
-        assert_eq!(stager.mac(&bad, &a, &mut quiet()).unwrap_err(), expected);
+        let mut codes = [StagedCode::default(); 3];
+        // Errors in `load_weights`' order: every weight is quantised
+        // before any ring is tuned, so a later NaN wins over an earlier
+        // untunable code.
+        for bad in [[0.3, 1.0, 0.7], [1.0, 0.3, f64::NAN]] {
+            let expected = arm.load_weights(&bad, &mapper).unwrap_err();
+            assert_eq!(stager.stage(&bad, &mut codes).unwrap_err(), expected);
+        }
         let good = [0.3, 0.7, -0.3];
         arm.load_weights(&good, &mapper).unwrap();
+        stager.stage(&good, &mut codes).unwrap();
+        let stream = NoiseSource::seeded(5, NoiseConfig::paper_default()).stream(0, 0, 0);
         assert_eq!(
-            stager.mac(&good, &a, &mut quiet()).unwrap(),
-            arm.snapshot().mac(&a, &mut quiet()).unwrap()
+            stager.mac_indexed(&codes, &a, &stream, 0),
+            arm.snapshot().mac(&a, &mut stream.cursor()).unwrap()
         );
     }
 

@@ -151,7 +151,7 @@ impl WeightMapper {
             )));
         }
         let levels = f64::from((1u16 << self.bits) - 1);
-        let code = (w.abs().min(1.0) * levels).round() as u16;
+        let code = round_half_up(w.abs().min(1.0) * levels);
         Ok(MappedWeight {
             code,
             magnitude: self.effective[code as usize],
@@ -182,6 +182,16 @@ impl WeightMapper {
         }
         worst
     }
+}
+
+/// Rounds `x ∈ [0, 2^bits − 1]` to the nearest code, halves up —
+/// exactly what `x.round() as u16` gives on that range, without the
+/// libm call: `x − trunc(x)` is exact for any finite `x`, so comparing
+/// the fraction with `0.5` decides the tie the way `round` does.
+#[inline]
+fn round_half_up(x: f64) -> u16 {
+    let t = x as u16;
+    t + u16::from(x - f64::from(t) >= 0.5)
 }
 
 #[cfg(test)]
@@ -302,7 +312,47 @@ mod tests {
         }
     }
 
+    /// The libm formula `quantize` used before the exact
+    /// truncate-and-compare: the reference its codes must reproduce.
+    fn libm_code(w: f64, bits: u8) -> u16 {
+        (w.abs().min(1.0) * f64::from((1u16 << bits) - 1)).round() as u16
+    }
+
+    #[test]
+    fn half_steps_round_like_libm_round() {
+        for bits in 1u8..=4 {
+            let m = WeightMapper::ideal(bits).unwrap();
+            let levels = f64::from((1u16 << bits) - 1);
+            for k in 0..(1u16 << bits) {
+                let half = (f64::from(k) + 0.5) / levels;
+                let mut probes = vec![f64::from(k) / levels];
+                for x in [half, half.next_up(), half.next_down()] {
+                    probes.extend([x, -x]);
+                }
+                for w in probes.into_iter().filter(|w| w.abs() <= 1.0) {
+                    assert_eq!(
+                        m.quantize(w).unwrap().code,
+                        libm_code(w, bits),
+                        "bits {bits}, w {w:e}"
+                    );
+                }
+            }
+        }
+        // Weights a hair past full scale (inside the 1e-12 tolerance)
+        // clamp to the top code.
+        let m = WeightMapper::ideal(4).unwrap();
+        assert_eq!(m.quantize(1.0 + 1e-13).unwrap().code, 15);
+        assert_eq!(m.quantize(-0.0).unwrap().code, 0);
+        assert!(!m.quantize(-0.0).unwrap().negative);
+    }
+
     proptest! {
+        #[test]
+        fn rounding_matches_libm_round(w in -1.0..=1.0f64, bits in 1u8..=4) {
+            let m = WeightMapper::ideal(bits).unwrap();
+            prop_assert_eq!(m.quantize(w).unwrap().code, libm_code(w, bits));
+        }
+
         #[test]
         fn quantisation_error_bounded_for_ideal(w in -1.0..=1.0f64, bits in 1u8..=4) {
             let m = WeightMapper::ideal(bits).unwrap();
